@@ -70,10 +70,6 @@ class Prediction:
     raw: tuple[float, float, float]
     clamped: tuple[float, float, float]
 
-    @property
-    def wa_raw(self) -> float:
-        return float(np.mean(self.raw))
-
 
 def _attention_param_names(prefix: str) -> list[str]:
     return [f"{prefix}.{w}" for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
@@ -371,17 +367,24 @@ def backward(
     target: np.ndarray,
     dropout_enabled: bool = False,
     rng_seed: int = 0,
+    grads: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss (mean squared error over the three heads) and its exact gradient
     for every parameter tensor. Re-runs the forward pass internally, so the
-    dropout seed must match the paired forward when dropout is enabled."""
+    dropout seed must match the paired forward when dropout is enabled.
+
+    The gradient is added into ``grads``, a dict shaped like
+    ``params.zeros_like()``, which is returned; one accumulator can thus sum a
+    whole batch, and embedding rows no token of the example hits are left
+    untouched. Without ``grads`` a fresh zero dict is allocated."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (3,):
         raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
     trace, cache = _forward_internal(params, config, seq1, seq2, mask1, mask2,
                                      dropout_enabled, rng_seed)
     p = params.tensors
-    grads = params.zeros_like()
+    if grads is None:
+        grads = params.zeros_like()
     diff = trace.outputs - target
     loss = float(np.mean(diff ** 2))
     douts = 2.0 * diff / 3.0

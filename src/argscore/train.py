@@ -207,8 +207,9 @@ def train(
     """Optimize on the train split; model selection by mean dev Spearman.
 
     Per visited example the similar-quality text is re-masked, the example is
-    encoded and run with dropout, and gradients are batch-averaged, clipped,
-    and applied. The learning rate decays linearly from
+    encoded and run with dropout, and its gradient is added by ``backward``
+    into the one accumulator allocated per batch; the batch sum is then
+    averaged, clipped, and applied. The learning rate decays linearly from
     ``tcfg.learning_rate`` to zero over the run's
     ``epochs * ceil(n_train / batch_size)`` steps. Divergence stops training
     with ``NonFiniteLoss``: an example loss that is non-finite or above
@@ -266,18 +267,17 @@ def train(
                 aug = apply_masking(augmentations.get(rec.id) or empty, tcfg.gamma, mask_rng)
                 enc = encode_input(rec, aug, vocab, config, tcfg.active_kinds)
                 state.truncated_tokens += enc.truncated_tokens
-                example_loss, g = backward(
+                example_loss, grads = backward(
                     params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2,
                     targets[rec.id], dropout_enabled=dropout_on,
                     rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, int(j)),
+                    grads=grads,
                 )
                 if not math.isfinite(example_loss):
                     raise diverged("non-finite loss", record_id=rec.id, loss=example_loss)
                 if example_loss > LOSS_CEILING:
                     raise diverged("loss above ceiling", record_id=rec.id, loss=example_loss)
                 epoch_losses.append(example_loss)
-                for name in grads:
-                    grads[name] += g[name]
             inv = 1.0 / len(chunk)
             for g in grads.values():
                 g *= inv

@@ -80,3 +80,26 @@ def test_backward_with_dropout_matches_seeded_forward():
     loss, _ = backward(params, config, seq1, seq2, m1, m2, target,
                        dropout_enabled=True, rng_seed=5)
     assert loss == pytest.approx(float(np.mean((trace.outputs - target) ** 2)), abs=1e-15)
+
+
+def test_backward_accumulates_into_given_grads():
+    config = small_config(vocab_size=200)
+    params = init_parameters(config, seed=4)
+    examples = [random_example(config, s) for s in (11, 12)]
+    targets = [np.array([0.1, 0.5, 0.9]), np.array([0.7, 0.2, 0.4])]
+    fresh = [backward(params, config, *ex, t)[1] for ex, t in zip(examples, targets)]
+
+    acc = params.zeros_like()
+    for ex, t in zip(examples, targets):
+        _, returned = backward(params, config, *ex, t, grads=acc)
+        assert returned is acc
+    for name in acc:
+        np.testing.assert_allclose(acc[name], fresh[0][name] + fresh[1][name],
+                                   rtol=0.0, atol=1e-12, err_msg=name)
+
+    for enc, seq_index in (("enc1", 0), ("enc2", 1)):
+        hit = np.zeros(config.vocab_size, dtype=bool)
+        for ex in examples:
+            hit[ex[seq_index]] = True
+        assert not hit.all()
+        assert (acc[f"{enc}.tok_emb"][~hit] == 0.0).all(), enc
