@@ -84,9 +84,6 @@ class AugmentationSet:
     def with_text(self, kind: AugmentationKind, text: Optional[str]) -> "AugmentationSet":
         return replace(self, **{kind.value: text})
 
-    def present_kinds(self) -> tuple[AugmentationKind, ...]:
-        return tuple(k for k in KIND_ORDER if self.get(k) is not None)
-
     @property
     def empty_assumptions(self) -> bool:
         return self.assumptions == NO_ASSUMPTIONS

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from argscore import augment as aug_mod
 from argscore import corpus as corpus_mod
 from argscore import evaluation, synth

@@ -2,7 +2,11 @@
 
 Two on-disk layouts are supported. The three-score layout carries cogency,
 effectiveness, and reasonableness per argument; the single-score layout
-carries one overall quality value (``wa``). Both exist as CSV and JSONL.
+carries one overall quality value (``wa``). Both exist as CSV and JSONL, and
+``load_dataset`` reads all four. The fields pick the layout: a CSV whose
+header mentions ``cogency`` is three-score and any other CSV single-score; a
+JSONL object with ``cogency`` is three-score, one with ``wa`` single-score,
+and one with neither unlabelled.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 SCORE_MIN = 1.0
 SCORE_MAX = 5.0
@@ -108,9 +112,6 @@ class ArgumentRecord:
         if not self.topic.strip() or not self.argument.strip():
             raise CorpusError(f"record {self.id!r}: topic and argument must be non-empty")
 
-    def has_training_target(self) -> bool:
-        return self.labels is not None or self.wa_label is not None
-
 
 @dataclass
 class Dataset:
@@ -130,12 +131,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self, record_id: str) -> ArgumentRecord:
-        for rec in self.records:
-            if rec.id == record_id:
-                return rec
-        raise KeyError(record_id)
-
     def split(self, name: str) -> list[ArgumentRecord]:
         return [r for r in self.records if self.split_assignment.get(r.id) == name]
 
@@ -147,168 +142,118 @@ def normalize_score(raw: float) -> float:
     return (raw - SCORE_MIN) / (SCORE_MAX - SCORE_MIN)
 
 
-def denormalize_score(value: float) -> float:
-    return value * (SCORE_MAX - SCORE_MIN) + SCORE_MIN
-
-
-def _parse_float(text: str, line: int, column: str) -> float:
+def _parse_float(value, line: int, column: str) -> float:
     try:
-        return float(text)
-    except ValueError:
-        raise MalformedRow(line, f"column {column!r} is not a number: {text!r}")
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRow(line, f"column {column!r} is not a number: {value!r}")
 
 
-def _check_header(header: list[str], required: list[str], path: str) -> None:
-    for column in required:
-        if column not in header:
-            raise MissingColumn(column, path)
-
-
-def _validate_split(value: str, line: int) -> str:
-    if value not in SPLITS:
-        raise MalformedRow(line, f"unknown split {value!r}")
+def _text(row: dict, column: str, default: str, line: int) -> str:
+    value = row.get(column, default)
+    if not isinstance(value, str):
+        raise MalformedRow(line, f"column {column!r} is not a string: {value!r}")
     return value
 
 
-def load_gaq_csv(path: str | Path) -> Dataset:
-    """Load a three-score CSV (id, domain, topic, argument, cogency,
-    effectiveness, reasonableness[, split]). Any invalid row aborts the load."""
-    path = Path(path)
-    records: list[ArgumentRecord] = []
-    splits: dict[str, str] = {}
-    seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MalformedRow(1, "empty file, header row required")
-        _check_header(list(reader.fieldnames), GAQ_COLUMNS, str(path))
-        for row in reader:
-            line = reader.line_num
-            if row["id"] is None or any(row.get(c) is None for c in GAQ_COLUMNS):
-                raise MalformedRow(line, "wrong number of fields")
-            rid = row["id"]
-            if rid in seen:
-                raise DuplicateId(rid)
-            seen.add(rid)
-            values = {c: _parse_float(row[c], line, c) for c in ("cogency", "effectiveness", "reasonableness")}
-            for value in values.values():
-                if not (SCORE_MIN <= value <= SCORE_MAX):
-                    raise ScoreOutOfRange(rid, value)
-            try:
-                rec = ArgumentRecord(
-                    id=rid,
-                    domain_tag=row["domain"],
-                    topic=row["topic"],
-                    argument=row["argument"],
-                    labels=QualityScores(**values),
-                )
-            except CorpusError as exc:
-                raise MalformedRow(line, str(exc))
-            records.append(rec)
-            if row.get("split"):
-                splits[rid] = _validate_split(row["split"], line)
-    return Dataset(records=records, split_assignment=splits, name=path.stem)
+def _csv_rows(fh, path: Path) -> Iterator[tuple[int, dict]]:
+    """(line, row) pairs of a CSV file, each row cut to the columns of its
+    layout: three-score when the first line mentions ``cogency``, else
+    single-score. Other columns are ignored, except ``split``."""
+    columns = GAQ_COLUMNS if "cogency" in fh.readline() else IBM_COLUMNS
+    fh.seek(0)
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        raise MalformedRow(1, "empty file, header row required")
+    for column in columns:
+        if column not in reader.fieldnames:
+            raise MissingColumn(column, str(path))
+    for row in reader:
+        if any(row.get(c) is None for c in columns):
+            raise MalformedRow(reader.line_num, "wrong number of fields")
+        yield reader.line_num, {**{c: row[c] for c in columns}, "split": row.get("split")}
 
 
-def load_ibm_csv(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)) -> Dataset:
-    """Load a single-score CSV (id, topic, argument, wa[, split])."""
-    path = Path(path)
-    lo, hi = label_range
-    records: list[ArgumentRecord] = []
-    splits: dict[str, str] = {}
-    seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MalformedRow(1, "empty file, header row required")
-        _check_header(list(reader.fieldnames), IBM_COLUMNS, str(path))
-        for row in reader:
-            line = reader.line_num
-            if any(row.get(c) is None for c in IBM_COLUMNS):
-                raise MalformedRow(line, "wrong number of fields")
-            rid = row["id"]
-            if rid in seen:
-                raise DuplicateId(rid)
-            seen.add(rid)
-            wa = _parse_float(row["wa"], line, "wa")
-            if not (lo <= wa <= hi):
-                raise WaOutOfRange(rid, wa, lo, hi)
-            try:
-                rec = ArgumentRecord(id=rid, topic=row["topic"], argument=row["argument"], wa_label=wa)
-            except CorpusError as exc:
-                raise MalformedRow(line, str(exc))
-            records.append(rec)
-            if row.get("split"):
-                splits[rid] = _validate_split(row["split"], line)
-    return Dataset(records=records, split_assignment=splits, name=path.stem)
+def _jsonl_rows(fh) -> Iterator[tuple[int, dict]]:
+    """(line, object) pairs of a JSONL file, each object with a non-empty
+    string ``id``; blank lines are skipped."""
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRow(line_no, f"invalid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise MalformedRow(line_no, "not a JSON object")
+        if not isinstance(obj.get("id"), str) or not obj["id"]:
+            raise MalformedRow(line_no, "missing id")
+        yield line_no, obj
 
 
-def load_jsonl(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)) -> Dataset:
-    """Load records from JSONL; the field set of each object decides the layout."""
-    path = Path(path)
-    records: list[ArgumentRecord] = []
-    splits: dict[str, str] = {}
-    seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRow(line_no, f"invalid JSON: {exc}")
-            rid = obj.get("id")
-            if not rid:
-                raise MalformedRow(line_no, "missing id")
-            if rid in seen:
-                raise DuplicateId(rid)
-            seen.add(rid)
-            labels = None
-            wa_label = None
-            if "cogency" in obj:
-                for column in ("cogency", "effectiveness", "reasonableness"):
-                    if column not in obj:
-                        raise MissingColumn(column, str(path))
-                    if not (SCORE_MIN <= float(obj[column]) <= SCORE_MAX):
-                        raise ScoreOutOfRange(rid, float(obj[column]))
-                labels = QualityScores(
-                    cogency=float(obj["cogency"]),
-                    effectiveness=float(obj["effectiveness"]),
-                    reasonableness=float(obj["reasonableness"]),
-                )
-            elif "wa" in obj:
-                wa_label = float(obj["wa"])
-                lo, hi = label_range
-                if not (lo <= wa_label <= hi):
-                    raise WaOutOfRange(rid, wa_label, lo, hi)
-            try:
-                rec = ArgumentRecord(
-                    id=rid,
-                    topic=obj.get("topic", ""),
-                    argument=obj.get("argument", ""),
-                    domain_tag=obj.get("domain", "unknown"),
-                    labels=labels,
-                    wa_label=wa_label,
-                )
-            except CorpusError as exc:
-                raise MalformedRow(line_no, str(exc))
-            records.append(rec)
-            if obj.get("split"):
-                splits[rid] = _validate_split(obj["split"], line_no)
-    return Dataset(records=records, split_assignment=splits, name=path.stem)
+def _record(
+    row: dict, line: int, seen: set[str], label_range: tuple[float, float], path: Path,
+) -> tuple[ArgumentRecord, Optional[str]]:
+    """Validate one row, whose ``id`` is a string, into a record and the split
+    it names, if any; adds the id to ``seen``. ``cogency`` in the row selects
+    three scores, else ``wa`` one score, else no label. An empty CSV id is
+    rejected with the record, after the range checks."""
+    rid = row["id"]
+    if rid in seen:
+        raise DuplicateId(rid)
+    seen.add(rid)
+    labels = None
+    wa_label = None
+    if "cogency" in row:
+        values = {}
+        for column in ("cogency", "effectiveness", "reasonableness"):
+            if column not in row:
+                raise MissingColumn(column, str(path))
+            values[column] = _parse_float(row[column], line, column)
+        for value in values.values():
+            if not (SCORE_MIN <= value <= SCORE_MAX):
+                raise ScoreOutOfRange(rid, value)
+        labels = QualityScores(**values)
+    elif "wa" in row:
+        wa_label = _parse_float(row["wa"], line, "wa")
+        lo, hi = label_range
+        if not (lo <= wa_label <= hi):
+            raise WaOutOfRange(rid, wa_label, lo, hi)
+    topic = _text(row, "topic", "", line)
+    argument = _text(row, "argument", "", line)
+    domain_tag = _text(row, "domain", "unknown", line)
+    try:
+        rec = ArgumentRecord(id=rid, topic=topic, argument=argument, domain_tag=domain_tag,
+                             labels=labels, wa_label=wa_label)
+    except CorpusError as exc:
+        raise MalformedRow(line, str(exc))
+    split = row.get("split")
+    if split and split not in SPLITS:
+        raise MalformedRow(line, f"unknown split {split!r}")
+    return rec, split or None
 
 
 def load_dataset(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)) -> Dataset:
-    """Dispatch on file extension (.csv sniffs the header, .jsonl sniffs fields)."""
+    """Load a ``.jsonl`` file, or else a CSV file. Any invalid row aborts the load.
+
+    A CSV whose first line mentions ``cogency`` is three-score (id, domain,
+    topic, argument, cogency, effectiveness, reasonableness[, split]); any
+    other CSV is single-score (id, topic, argument, wa[, split]). A JSONL
+    object is three-score if it has ``cogency``, single-score if it has
+    ``wa``, and unlabelled otherwise. ``wa`` must lie in ``label_range``."""
     path = Path(path)
-    if path.suffix == ".jsonl":
-        return load_jsonl(path, label_range=label_range)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-    if "cogency" in header:
-        return load_gaq_csv(path)
-    return load_ibm_csv(path, label_range=label_range)
+    jsonl = path.suffix == ".jsonl"
+    records: list[ArgumentRecord] = []
+    splits: dict[str, str] = {}
+    seen: set[str] = set()
+    with path.open(newline=None if jsonl else "", encoding="utf-8") as fh:
+        for line, row in _jsonl_rows(fh) if jsonl else _csv_rows(fh, path):
+            rec, split = _record(row, line, seen, label_range, path)
+            records.append(rec)
+            if split:
+                splits[rec.id] = split
+    return Dataset(records=records, split_assignment=splits, name=path.stem)
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -165,10 +164,6 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def write_report_csv(rows: Sequence[EvalRow], path: str | Path) -> None:
-    Path(path).write_text(report_csv(rows), encoding="utf-8", newline="")
-
-
 def report_csv(rows: Sequence[EvalRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -180,20 +175,6 @@ def report_csv(rows: Sequence[EvalRow]) -> str:
             + [row.n]
         )
     return buf.getvalue()
-
-
-def read_report_csv(path: str | Path) -> list[EvalRow]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for obj in csv.DictReader(fh):
-            kwargs = {
-                "dataset": obj["dataset"], "split": obj["split"],
-                "mode": obj["mode"], "augs": obj["augs"], "n": int(obj["n"]),
-            }
-            for c in _METRIC_COLUMNS:
-                kwargs[c] = float(obj[c]) if obj[c] else None
-            rows.append(EvalRow(**kwargs))
-    return rows
 
 
 def ablation_table(rows: Sequence[EvalRow]) -> tuple[str, str]:

@@ -33,13 +33,6 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    def consumable_capacity(self) -> int:
-        """Non-pad token slots one example can occupy: both sequences in dual
-        mode, one in single mode."""
-        if self.mode == "dual":
-            return 2 * self.max_seq_len
-        return self.max_seq_len
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -98,10 +98,6 @@ class TrainConfig:
             "active_kinds": sorted(k.value for k in self.active_kinds),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
-
 
 @dataclass
 class TrainState:
@@ -395,7 +391,6 @@ def save_training(
     vocab: Vocabulary,
     state: TrainState,
     optimizer: AdamOptimizer,
-    rng_states: Optional[dict] = None,
 ) -> None:
     directory = Path(directory)
     save_checkpoint(directory, params, config, vocab)
@@ -407,11 +402,8 @@ def save_training(
     (optim_dir / "manifest.json").write_text(
         json.dumps({"t": optimizer.t, "tensors": entries}), encoding="utf-8"
     )
-    payload = state.to_dict()
-    if rng_states:
-        payload["rng_streams"] = rng_states
     (directory / "train_state.json").write_text(
-        json.dumps(payload, indent=2), encoding="utf-8"
+        json.dumps(state.to_dict(), indent=2), encoding="utf-8"
     )
 
 

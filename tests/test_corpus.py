@@ -14,9 +14,6 @@ from argscore.corpus import (
     WaOutOfRange,
     assign_splits,
     load_dataset,
-    load_gaq_csv,
-    load_ibm_csv,
-    load_jsonl,
     normalize_score,
     write_dataset,
 )
@@ -34,7 +31,7 @@ GAQ_HEADER = "id,domain,topic,argument,cogency,effectiveness,reasonableness\n"
 class TestGaqCsv:
     def test_basic_row_and_wa(self, tmp_path):
         path = write(tmp_path, "d.csv", GAQ_HEADER + 'a1,debates,"T","A",3.0,2.5,4.0\n')
-        ds = load_gaq_csv(path)
+        ds = load_dataset(path)
         assert len(ds) == 1
         rec = ds.records[0]
         assert rec.topic == "T" and rec.argument == "A"
@@ -43,51 +40,51 @@ class TestGaqCsv:
     def test_score_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.csv", GAQ_HEADER + 'a1,debates,"T","A",5.5,2.5,4.0\n')
         with pytest.raises(ScoreOutOfRange) as err:
-            load_gaq_csv(path)
+            load_dataset(path)
         assert err.value.record_id == "a1"
 
     def test_duplicate_id(self, tmp_path):
         rows = GAQ_HEADER + 'a1,qa,"T","A",3,3,3\na1,qa,"U","B",2,2,2\n'
         with pytest.raises(DuplicateId):
-            load_gaq_csv(write(tmp_path, "d.csv", rows))
+            load_dataset(write(tmp_path, "d.csv", rows))
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,domain,topic,argument,cogency,effectiveness\n")
         with pytest.raises(MissingColumn):
-            load_gaq_csv(path)
+            load_dataset(path)
 
     def test_malformed_score(self, tmp_path):
         path = write(tmp_path, "d.csv", GAQ_HEADER + 'a1,qa,"T","A",x,3,3\n')
         with pytest.raises(MalformedRow) as err:
-            load_gaq_csv(path)
+            load_dataset(path)
         assert err.value.line == 2
 
     def test_split_column_honored(self, tmp_path):
         rows = GAQ_HEADER.rstrip("\n") + ",split\n" + 'a1,qa,"T","A",3,3,3,dev\n'
-        ds = load_gaq_csv(write(tmp_path, "d.csv", rows))
+        ds = load_dataset(write(tmp_path, "d.csv", rows))
         assert ds.split_assignment == {"a1": "dev"}
 
 
 class TestIbmCsv:
     def test_passthrough(self, tmp_path):
         path = write(tmp_path, "d.csv", 'id,topic,argument,wa\nb1,"T","A",0.83\n')
-        ds = load_ibm_csv(path)
+        ds = load_dataset(path)
         assert ds.records[0].wa_label == 0.83
         assert ds.records[0].labels is None
 
     def test_wa_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.csv", 'id,topic,argument,wa\nb1,"T","A",1.2\n')
         with pytest.raises(WaOutOfRange) as err:
-            load_ibm_csv(path)
+            load_dataset(path)
         assert err.value.record_id == "b1"
 
     def test_custom_label_range(self, tmp_path):
         path = write(tmp_path, "d.csv", 'id,topic,argument,wa\nb1,"T","A",1.2\n')
-        ds = load_ibm_csv(path, label_range=(0.0, 5.0))
+        ds = load_dataset(path, label_range=(0.0, 5.0))
         assert ds.records[0].wa_label == 1.2
 
     def test_header_only(self, tmp_path):
-        ds = load_ibm_csv(write(tmp_path, "d.csv", "id,topic,argument,wa\n"))
+        ds = load_dataset(write(tmp_path, "d.csv", "id,topic,argument,wa\n"))
         assert len(ds) == 0
 
 
@@ -96,6 +93,48 @@ def test_load_dataset_dispatch(tmp_path):
     ibm = write(tmp_path, "i.csv", 'id,topic,argument,wa\nb1,"T","A",0.5\n')
     assert load_dataset(gaq).records[0].labels is not None
     assert load_dataset(ibm).records[0].wa_label == 0.5
+
+
+JSONL_ROW = '{"id": "a0", "topic": "T", "argument": "A", "wa": 0.5}\n'
+
+
+def assert_malformed_second_line(tmp_path, line):
+    path = write(tmp_path, "d.jsonl", JSONL_ROW + line + "\n")
+    with pytest.raises(MalformedRow) as err:
+        load_dataset(path)
+    assert err.value.line == 2
+
+
+def test_jsonl_non_numeric_score_is_malformed(tmp_path):
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "wa": "x"}')
+    assert_malformed_second_line(
+        tmp_path, '{"id": "a1", "topic": "T", "argument": "A", '
+        '"cogency": "x", "effectiveness": 3, "reasonableness": 3}')
+    # an integer too large for a float
+    assert_malformed_second_line(
+        tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "wa": 1' + "0" * 400 + "}")
+
+
+def test_jsonl_null_score_is_malformed(tmp_path):
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "wa": null}')
+    assert_malformed_second_line(
+        tmp_path, '{"id": "a1", "topic": "T", "argument": "A", '
+        '"cogency": 3, "effectiveness": null, "reasonableness": 3}')
+
+
+def test_jsonl_non_object_line_is_malformed(tmp_path):
+    assert_malformed_second_line(tmp_path, "[1, 2]")
+    assert_malformed_second_line(tmp_path, '"a1"')
+
+
+def test_jsonl_non_string_id_is_malformed(tmp_path):
+    assert_malformed_second_line(tmp_path, '{"id": 5, "topic": "T", "argument": "A", "wa": 0.5}')
+
+
+def test_jsonl_non_string_text_field_is_malformed(tmp_path):
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": null, "argument": "A"}')
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": "T", "argument": 7}')
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "domain": 5}')
 
 
 def test_jsonl_roundtrip_field_identical(tmp_path):
@@ -108,7 +147,7 @@ def test_jsonl_roundtrip_field_identical(tmp_path):
     ds = Dataset(records=records, split_assignment={"a1": "train", "a2": "test"}, name="rt")
     path = tmp_path / "rt.jsonl"
     write_dataset(ds, path)
-    back = load_jsonl(path)
+    back = load_dataset(path)
     for orig, loaded in zip(ds.records, back.records):
         assert loaded == orig
     assert back.split_assignment == ds.split_assignment
@@ -123,7 +162,7 @@ def test_csv_roundtrip_field_identical(tmp_path):
     ds = Dataset(records=records, name="rt")
     path = tmp_path / "rt.csv"
     write_dataset(ds, path)
-    back = load_gaq_csv(path)
+    back = load_dataset(path)
     assert back.records[0] == records[0]
 
 

@@ -31,7 +31,7 @@ def _gelu_inputs():
 def test_gelu_matches_power_form():
     x = _gelu_inputs()
     np.testing.assert_allclose(
-        kernels.NUMPY_KERNELS["gelu"](x), _reference_gelu(x), rtol=1e-14, atol=1e-15
+        kernels.gelu(x), _reference_gelu(x), rtol=1e-14, atol=1e-15
     )
 
 
@@ -39,9 +39,16 @@ def test_gelu_grad_matches_power_form():
     x = _gelu_inputs()
     dy = np.random.default_rng(1).normal(size=x.shape)
     np.testing.assert_allclose(
-        kernels.NUMPY_KERNELS["gelu_grad"](dy, x), _reference_gelu_grad(dy, x),
+        kernels.gelu_grad(dy, x), _reference_gelu_grad(dy, x),
         rtol=1e-14, atol=1e-15,
     )
+
+
+def test_masked_softmax_masked_keys_get_exactly_zero():
+    scores = np.random.default_rng(0).normal(size=(3, 6, 6))
+    mask = np.array([1.0, 1, 0, 1, 0, 1])
+    probs = kernels.masked_softmax(scores, mask)
+    assert (probs[:, :, mask == 0] == 0).all()
 
 
 def test_adam_update_bitwise_equals_one_line_expression():
@@ -57,7 +64,7 @@ def test_adam_update_bitwise_equals_one_line_expression():
         g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 2.0, n)
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
-        kernels.NUMPY_KERNELS["adam_update"](p, g, m, v, lr, beta1, beta2, eps, bc1, bc2)
+        kernels.adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2)
         ref_m *= beta1
         ref_m += (1.0 - beta1) * g
         ref_v *= beta2

@@ -125,48 +125,6 @@ def test_shape_mismatch_errors():
         forward(params, config, seq1, seq2, np.zeros_like(m1), m2)
 
 
-@pytest.mark.skipif(kernels.NUMBA_KERNELS is None, reason="numba unavailable")
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(0)
-    scores = rng.normal(size=(3, 6, 6))
-    mask = np.array([1.0, 1, 0, 1, 0, 1])
-    x = rng.normal(size=(6, 8))
-    gamma = rng.normal(size=8)
-    beta = rng.normal(size=8)
-    dy = rng.normal(size=(6, 8))
-
-    nb = kernels.NUMBA_KERNELS
-    np_ = kernels.NUMPY_KERNELS
-
-    p_nb = nb["masked_softmax"](scores, mask)
-    p_np = np_["masked_softmax"](scores, mask)
-    assert np.allclose(p_nb, p_np, atol=1e-12)
-    assert (p_nb[:, :, mask == 0] == 0).all() and (p_np[:, :, mask == 0] == 0).all()
-
-    d_nb = nb["masked_softmax_grad"](p_nb, scores)
-    d_np = np_["masked_softmax_grad"](p_np, scores)
-    assert np.allclose(d_nb, d_np, atol=1e-12)
-
-    y_nb, xh_nb, r_nb = nb["layer_norm"](x, gamma, beta, 1e-5)
-    y_np, xh_np, r_np = np_["layer_norm"](x, gamma, beta, 1e-5)
-    assert np.allclose(y_nb, y_np, atol=1e-12)
-    gx_nb = nb["layer_norm_grad"](dy, gamma, xh_nb, r_nb)
-    gx_np = np_["layer_norm_grad"](dy, gamma, xh_np, r_np)
-    for a, b in zip(gx_nb, gx_np):
-        assert np.allclose(a, b, atol=1e-12)
-
-    assert np.allclose(nb["gelu"](x), np_["gelu"](x), atol=1e-12)
-    assert np.allclose(nb["gelu_grad"](dy, x), np_["gelu_grad"](dy, x), atol=1e-12)
-
-    p1, g1 = rng.normal(size=16), rng.normal(size=16)
-    m1_, v1 = np.zeros(16), np.zeros(16)
-    p2, m2_, v2 = p1.copy(), m1_.copy(), v1.copy()
-    nb["adam_update"](p1, g1, m1_, v1, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
-    np_["adam_update"](p2, g1, m2_, v2, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
-    assert np.allclose(p1, p2, atol=1e-15)
-    assert np.allclose(m1_, m2_, atol=1e-15) and np.allclose(v1, v2, atol=1e-15)
-
-
 def test_masked_softmax_fully_masked_row_is_zero():
     scores = np.zeros((1, 2, 3))
     probs = kernels.masked_softmax(scores, np.zeros(3))

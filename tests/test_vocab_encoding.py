@@ -150,8 +150,6 @@ class TestEncodeInput:
                       num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         dual = ModelConfig(mode="dual", **common)
         single = ModelConfig(mode="single", **common)
-        assert dual.consumable_capacity() == 2 * dual.max_seq_len
-        assert single.consumable_capacity() == single.max_seq_len
         enc_d = encode_input(long_record, long_aug, vocab, dual, set(KIND_ORDER))
         enc_s = encode_input(long_record, long_aug, vocab, single, set(KIND_ORDER))
         assert int(enc_d.mask1.sum() + enc_d.mask2.sum()) == 2 * dual.max_seq_len
