@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +35,7 @@ from argscore.model import (
     build_vocab,
     init_parameters,
     load_checkpoint,
+    save_checkpoint,
 )
 from argscore.seeding import derive_seed
 
@@ -57,6 +58,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        _check_settings("run", data, cls)
+        _check_settings("model", data.get("model", {}), ModelConfig)
+        _check_settings("train", data.get("train", {}), train_mod.TrainConfig)
         cfg = cls(**data)
         cfg.split_ratios = tuple(cfg.split_ratios)
         return cfg
@@ -65,6 +69,15 @@ class RunConfig:
         for label, value in (("dataset", self.dataset), ("augmentations", self.augmentations)):
             if value is not None and not Path(value).exists():
                 raise FileNotFoundError(f"{label} path does not exist: {value}")
+
+
+def _check_settings(kind: str, data, cls) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} settings must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {kind} setting {key!r}")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -189,7 +202,7 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        best, state, optimizer = train_mod.train(
+        best, state, _ = train_mod.train(
             params, config, tcfg, dataset, augmentations, vocab
         )
     except train_mod.NonFiniteLoss as exc:
@@ -199,9 +212,12 @@ def cmd_train(args) -> int:
         return 1
 
     ckpt_dir = out_dir / "checkpoint"
-    train_mod.save_training(ckpt_dir, best, config, vocab, state, optimizer)
+    save_checkpoint(ckpt_dir, best, config, vocab)
     (out_dir / "train_config.json").write_text(
         json.dumps(tcfg.to_dict(), indent=2), encoding="utf-8"
+    )
+    (out_dir / "train_state.json").write_text(
+        json.dumps(state.to_dict(), indent=2), encoding="utf-8"
     )
     dev = state.dev_spearman_history[state.best_epoch] if state.dev_spearman_history else float("nan")
     print(f"best_epoch={state.best_epoch} dev_spearman_mean={dev:.4f} "

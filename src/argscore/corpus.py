@@ -169,7 +169,8 @@ def _csv_rows(fh, path: Path) -> Iterator[tuple[int, dict]]:
         if column not in reader.fieldnames:
             raise MissingColumn(column, str(path))
     for row in reader:
-        if any(row.get(c) is None for c in columns):
+        # DictReader fills missing fields with None and files extra ones under None
+        if None in row or any(row.get(c) is None for c in columns):
             raise MalformedRow(reader.line_num, "wrong number of fields")
         yield reader.line_num, {**{c: row[c] for c in columns}, "split": row.get("split")}
 
@@ -259,16 +260,19 @@ def load_dataset(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write records back out; .jsonl or .csv decided by extension.
 
-    Text fields round-trip byte-identically (UTF-8, RFC-4180 quoting for CSV)."""
+    Text fields round-trip byte-identically (UTF-8, RFC-4180 quoting for CSV),
+    and ``load_dataset`` reads back the records written. A CSV holds one
+    layout, so writing one raises ``CorpusError``, before the file is opened,
+    unless every record has three scores or every record has a ``wa`` score."""
     path = Path(path)
     three_score = any(r.labels is not None for r in dataset.records)
     has_split = bool(dataset.split_assignment)
     if path.suffix == ".jsonl":
         with path.open("w", encoding="utf-8") as fh:
             for rec in dataset.records:
-                obj: dict = {"id": rec.id, "topic": rec.topic, "argument": rec.argument}
+                obj: dict = {"id": rec.id, "topic": rec.topic, "argument": rec.argument,
+                             "domain": rec.domain_tag}
                 if rec.labels is not None:
-                    obj["domain"] = rec.domain_tag
                     obj["cogency"] = rec.labels.cogency
                     obj["effectiveness"] = rec.labels.effectiveness
                     obj["reasonableness"] = rec.labels.reasonableness
@@ -278,13 +282,16 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
                     obj["split"] = dataset.split_assignment[rec.id]
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
         return
+    for rec in dataset.records:
+        if (rec.labels if three_score else rec.wa_label) is None:
+            wanted = "three scores" if three_score else "a wa score"
+            raise CorpusError(f"cannot write {path} as CSV: record {rec.id!r} lacks {wanted}")
     with path.open("w", newline="", encoding="utf-8") as fh:
         if three_score:
             columns = GAQ_COLUMNS + (["split"] if has_split else [])
             writer = csv.writer(fh)
             writer.writerow(columns)
             for rec in dataset.records:
-                assert rec.labels is not None
                 row = [
                     rec.id, rec.domain_tag, rec.topic, rec.argument,
                     repr(rec.labels.cogency), repr(rec.labels.effectiveness),

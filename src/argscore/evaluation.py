@@ -128,8 +128,7 @@ def evaluate(
     active = set(active_kinds)
     raw = np.empty((len(records), 3))
     for i, rec in enumerate(records):
-        pred = predict(params, config, vocab, rec, augmentations.get(rec.id), active)
-        raw[i] = pred.raw
+        raw[i] = predict(params, config, vocab, rec, augmentations.get(rec.id), active)
 
     row = EvalRow(
         dataset=dataset.name, split=split, mode=config.mode,

@@ -7,12 +7,12 @@ from argscore.model.network import (
     HEAD_NAMES,
     ForwardTrace,
     ModelParameters,
-    Prediction,
     ShapeMismatch,
     backward,
     forward,
     init_parameters,
     parameter_names,
+    parameter_shapes,
     predict,
 )
 from argscore.model.vocab import (
@@ -39,7 +39,6 @@ __all__ = [
     "ModelConfig",
     "ModelParameters",
     "PAD_ID",
-    "Prediction",
     "RESERVED_TOKENS",
     "SEP_ID",
     "ShapeMismatch",
@@ -52,6 +51,7 @@ __all__ = [
     "init_parameters",
     "load_checkpoint",
     "parameter_names",
+    "parameter_shapes",
     "predict",
     "save_checkpoint",
     "tokenize",

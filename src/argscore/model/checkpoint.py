@@ -1,55 +1,45 @@
-"""Checkpoint container: a directory holding a manifest, one little-endian
-row-major binary file per tensor, and the vocabulary."""
+"""Checkpoint: a directory of three files, written atomically and validated on load.
+
+- ``manifest.json``: ``format_version``, the ``ModelConfig`` and the sha256 of
+  the vocabulary. It lists no tensors: their layout follows from the config.
+- ``params.bin``: every parameter tensor as little-endian float64 (``<f8``),
+  C order, concatenated in ``parameter_shapes(config)`` order.
+- ``vocab.txt``: one learned token per line.
+
+A save builds the checkpoint as the sibling directory ``<dir>.tmp`` (removing a
+stale one first), then removes the old ``<dir>`` and renames the new one into
+place, so a save that fails part way leaves the previous checkpoint as it was.
+Nothing is fsynced, so a crash of the machine (not of the program) may still
+lose the save. A directory that exists but holds no ``manifest.json`` is not a
+checkpoint: saving over it raises ``CheckpointError`` and leaves it untouched.
+
+A load raises ``CheckpointError`` on an unreadable manifest, an unsupported
+format version, a bad config, a vocabulary whose hash differs from the
+manifest's or whose size differs from ``config.vocab_size``, and a
+``params.bin`` whose length is not the config's parameter count. The loaded
+tensors are views into one buffer.
+"""
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 from argscore.model.config import ModelConfig
-from argscore.model.network import ModelParameters
+from argscore.model.network import ModelParameters, parameter_shapes
 from argscore.model.vocab import Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_DTYPE = np.dtype("<f8")
 
 
 class CheckpointError(Exception):
     pass
-
-
-def _file_name(name: str) -> str:
-    return name.replace(".", "__") + ".bin"
-
-
-def write_tensors(directory: Path, tensors: dict[str, np.ndarray]) -> list[dict]:
-    entries = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
-        file_name = _file_name(name)
-        little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        (directory / file_name).write_bytes(little.tobytes(order="C"))
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": arr.dtype.name,
-            "file": file_name,
-        })
-    return entries
-
-
-def read_tensors(directory: Path, entries: list[dict]) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for entry in entries:
-        path = directory / entry["file"]
-        if not path.exists():
-            raise CheckpointError(f"missing tensor file {path}")
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        flat = np.frombuffer(path.read_bytes(), dtype=dtype)
-        arr = flat.reshape(entry["shape"]).astype(np.float64)
-        tensors[entry["name"]] = arr
-    return tensors
 
 
 def save_checkpoint(
@@ -59,33 +49,73 @@ def save_checkpoint(
     vocab: Vocabulary,
 ) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = write_tensors(directory, params.tensors)
+    if directory.exists() and not (directory / "manifest.json").exists():
+        raise CheckpointError(f"{directory} exists and is not a checkpoint")
+    shapes = parameter_shapes(config)
+    if {name: t.shape for name, t in params.tensors.items()} != shapes:
+        raise CheckpointError("parameter names or shapes do not match the config")
+    staging = directory.with_name(directory.name + ".tmp")
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    with (staging / "params.bin").open("wb") as fh:
+        for name in shapes:
+            np.ascontiguousarray(params[name], dtype=_DTYPE).tofile(fh)
+    vocab.save(staging / "vocab.txt")
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
         "vocab_sha256": vocab.sha256(),
-        "tensors": entries,
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
-    )
-    vocab.save(directory / "vocab.txt")
+    (staging / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    if directory.exists():
+        shutil.rmtree(directory)
+    os.replace(staging, directory)
 
 
 def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig, Vocabulary]:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise CheckpointError(f"no manifest.json under {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable manifest {manifest_path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest {manifest_path} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {manifest.get('format_version')}")
-    config = ModelConfig.from_dict(manifest["config"])
-    vocab = Vocabulary.load(directory / "vocab.txt")
-    if vocab.sha256() != manifest["vocab_sha256"]:
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad config in {manifest_path}: {exc!r}")
+
+    try:
+        vocab = Vocabulary.load(directory / "vocab.txt")
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable vocabulary under {directory}: {exc}")
+    if vocab.sha256() != manifest.get("vocab_sha256"):
         raise CheckpointError(
-            f"vocab hash mismatch: file {vocab.sha256()} vs manifest {manifest['vocab_sha256']}"
+            f"vocab hash mismatch: file {vocab.sha256()} vs manifest {manifest.get('vocab_sha256')}"
         )
-    tensors = read_tensors(directory, manifest["tensors"])
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(
+            f"vocabulary has {len(vocab)} tokens, the config {config.vocab_size}"
+        )
+
+    shapes = parameter_shapes(config)
+    expected = sum(math.prod(shape) for shape in shapes.values()) * _DTYPE.itemsize
+    params_path = directory / "params.bin"
+    try:
+        size = params_path.stat().st_size
+        if size != expected:
+            raise CheckpointError(f"{params_path} holds {size} bytes, the config needs {expected}")
+        flat = np.fromfile(params_path, dtype=_DTYPE).astype(np.float64, copy=False)
+    except OSError as exc:
+        raise CheckpointError(f"unreadable {params_path}: {exc}")
+    tensors: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        tensors[name] = flat[offset : offset + count].reshape(shape)
+        offset += count
     return ModelParameters(tensors), config, vocab

@@ -65,39 +65,13 @@ class ForwardTrace:
     outputs: np.ndarray = None
 
 
-@dataclass
-class Prediction:
-    raw: tuple[float, float, float]
-    clamped: tuple[float, float, float]
-
-
-def _attention_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{w}" for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-
-
-def parameter_names(config: ModelConfig) -> list[str]:
-    names: list[str] = []
-    for enc in ("enc1", "enc2"):
-        names += [f"{enc}.tok_emb", f"{enc}.pos_emb"]
-        for layer in range(config.num_layers):
-            base = f"{enc}.layer{layer}"
-            names += [f"{base}.ln1.gamma", f"{base}.ln1.beta"]
-            names += _attention_param_names(f"{base}.attn")
-            names += [f"{base}.ln2.gamma", f"{base}.ln2.beta"]
-            names += [f"{base}.ffn.w1", f"{base}.ffn.b1", f"{base}.ffn.w2", f"{base}.ffn.b2"]
-        names += [f"{enc}.final_ln.gamma", f"{enc}.final_ln.beta"]
-    names += _attention_param_names("cross")
-    for head in HEAD_NAMES:
-        names += [f"head.{head}.w", f"head.{head}.b"]
-    return names
-
-
-def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
-    """Weights ~ N(0, 0.02), biases and layer-norm shifts zero, scales one.
-    Draw order follows ``parameter_names`` so initialization is bit-stable."""
-    rng = np.random.default_rng(seed)
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in the one fixed order that
+    initialisation draws in and checkpoints store."""
     d = config.model_dim
     f = config.ffn_dim
+    attention = {"wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
+                 "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,)}
     shapes: dict[str, tuple[int, ...]] = {}
     for enc in ("enc1", "enc2"):
         shapes[f"{enc}.tok_emb"] = (config.vocab_size, d)
@@ -106,10 +80,7 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
             base = f"{enc}.layer{layer}"
             shapes[f"{base}.ln1.gamma"] = (d,)
             shapes[f"{base}.ln1.beta"] = (d,)
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"{base}.attn.{w}"] = (d, d)
-            for b in ("bq", "bk", "bv", "bo"):
-                shapes[f"{base}.attn.{b}"] = (d,)
+            shapes.update({f"{base}.attn.{w}": s for w, s in attention.items()})
             shapes[f"{base}.ln2.gamma"] = (d,)
             shapes[f"{base}.ln2.beta"] = (d,)
             shapes[f"{base}.ffn.w1"] = (d, f)
@@ -118,17 +89,23 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
             shapes[f"{base}.ffn.b2"] = (d,)
         shapes[f"{enc}.final_ln.gamma"] = (d,)
         shapes[f"{enc}.final_ln.beta"] = (d,)
-    for w in ("wq", "wk", "wv", "wo"):
-        shapes[f"cross.{w}"] = (d, d)
-    for b in ("bq", "bk", "bv", "bo"):
-        shapes[f"cross.{b}"] = (d,)
+    shapes.update({f"cross.{w}": s for w, s in attention.items()})
     for head in HEAD_NAMES:
         shapes[f"head.{head}.w"] = (d,)
         shapes[f"head.{head}.b"] = (1,)
+    return shapes
 
+
+def parameter_names(config: ModelConfig) -> list[str]:
+    return list(parameter_shapes(config))
+
+
+def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
+    """Weights ~ N(0, 0.02), biases and layer-norm shifts zero, scales one.
+    Draw order follows ``parameter_shapes`` so initialization is bit-stable."""
+    rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name in parameter_names(config):
-        shape = shapes[name]
+    for name, shape in parameter_shapes(config).items():
         if name.endswith(".gamma"):
             tensors[name] = np.ones(shape)
         elif name.endswith(".beta") or name.rsplit(".", 1)[1].startswith("b"):
@@ -409,13 +386,12 @@ def backward(
     return loss, grads
 
 
-def predict(params, config, vocab, record, aug, active_kinds=()) -> Prediction:
-    """Deterministic inference for one record; no dropout, no masking."""
+def predict(params, config, vocab, record, aug, active_kinds=()) -> np.ndarray:
+    """Deterministic inference for one record; no dropout, no masking. Returns
+    the three unclamped head outputs."""
     from argscore.model.encoding import encode_input
 
     enc = encode_input(record, aug, vocab, config, active_kinds)
     trace = forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2,
                     dropout_enabled=False, rng_seed=0)
-    raw = tuple(float(v) for v in trace.outputs)
-    clamped = tuple(float(np.clip(v, 0.0, 1.0)) for v in trace.outputs)
-    return Prediction(raw=raw, clamped=clamped)
+    return trace.outputs

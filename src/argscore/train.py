@@ -1,13 +1,11 @@
 """Training loop: similar-quality masking, Adam with global-norm clipping and a
 linearly decaying learning rate, a divergence guard, per-epoch dev selection,
-gradient checking, and state persistence."""
+and gradient checking."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -23,7 +21,6 @@ from argscore.model import (
     forward,
 )
 from argscore.model import kernels
-from argscore.model.checkpoint import read_tensors, save_checkpoint, write_tensors
 from argscore.seeding import derive_seed, stream
 
 
@@ -63,7 +60,6 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-3
     epochs: int = 10
-    optimizer: str = "adam"
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     grad_clip_norm: float = 1.0
@@ -77,8 +73,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
             raise ValueError("learning_rate and grad_clip_norm must be positive")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
         self.active_kinds = frozenset(
             AugmentationKind(k) if isinstance(k, str) else k for k in self.active_kinds
         )
@@ -90,7 +84,6 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
             "epochs": self.epochs,
-            "optimizer": self.optimizer,
             "adam_betas": list(self.adam_betas),
             "adam_eps": self.adam_eps,
             "grad_clip_norm": self.grad_clip_norm,
@@ -382,38 +375,3 @@ def grad_check(
                 worst = rel
         report[name] = worst
     return GradCheckReport(max_rel_errors=report, tolerance=tolerance)
-
-
-def save_training(
-    directory: str | Path,
-    params: ModelParameters,
-    config: ModelConfig,
-    vocab: Vocabulary,
-    state: TrainState,
-    optimizer: AdamOptimizer,
-) -> None:
-    directory = Path(directory)
-    save_checkpoint(directory, params, config, vocab)
-    optim_dir = directory / "optimizer"
-    optim_dir.mkdir(exist_ok=True)
-    tensors = {f"m.{k}": v for k, v in optimizer.m.items()}
-    tensors.update({f"v.{k}": v for k, v in optimizer.v.items()})
-    entries = write_tensors(optim_dir, tensors)
-    (optim_dir / "manifest.json").write_text(
-        json.dumps({"t": optimizer.t, "tensors": entries}), encoding="utf-8"
-    )
-    (directory / "train_state.json").write_text(
-        json.dumps(state.to_dict(), indent=2), encoding="utf-8"
-    )
-
-
-def load_optimizer(directory: str | Path, params: ModelParameters, tcfg: TrainConfig) -> AdamOptimizer:
-    optim_dir = Path(directory) / "optimizer"
-    manifest = json.loads((optim_dir / "manifest.json").read_text(encoding="utf-8"))
-    tensors = read_tensors(optim_dir, manifest["tensors"])
-    optimizer = AdamOptimizer(params, tcfg)
-    optimizer.t = manifest["t"]
-    for name in optimizer.m:
-        optimizer.m[name] = tensors[f"m.{name}"]
-        optimizer.v[name] = tensors[f"v.{name}"]
-    return optimizer

@@ -20,3 +20,37 @@ def test_train_divergence_exits_one_with_diagnostics(tmp_path, tiny_dataset):
     diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
     assert diagnostics["reason"]
     assert not (out / "checkpoint").exists()
+
+
+def test_unknown_config_setting_exits_one(tmp_path, capsys):
+    for settings, kind in (({"train": {"foo": 1}}, "train"), ({"model": {"foo": 1}}, "model"),
+                           ({"foo": 1}, "run")):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        assert cli.main(["train", "--config", str(config), "--no-augs"]) == 1
+        assert f"error: unknown {kind} setting 'foo'" in capsys.readouterr().err
+
+
+def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"max_seq_len": 32, "model_dim": 16, "num_layers": 1, "num_heads": 2,
+                  "ffn_dim": 32, "num_cross_heads": 2},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    augs = tmp_path / "augs.jsonl"
+    common = ["--config", str(config), "--dataset", str(data)]
+
+    assert cli.main(["augment", *common, "--provider", "mock", "--out", str(augs)]) == 0
+    assert cli.main(["train", *common, "--augmentations", str(augs), "--epochs", "1",
+                     "--out", str(out)]) == 0
+    checkpoint = out / "checkpoint"
+    assert sorted(p.name for p in checkpoint.iterdir()) == [
+        "manifest.json", "params.bin", "vocab.txt"]
+    assert (out / "train_state.json").exists()
+    assert cli.main(["evaluate", *common, "--augmentations", str(augs),
+                     "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+    report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert len(report) == 2  # header and one row

@@ -3,6 +3,7 @@ import pytest
 
 from argscore.corpus import (
     ArgumentRecord,
+    CorpusError,
     Dataset,
     DuplicateId,
     InvalidRatios,
@@ -95,6 +96,16 @@ def test_load_dataset_dispatch(tmp_path):
     assert load_dataset(ibm).records[0].wa_label == 0.5
 
 
+
+def test_csv_row_with_extra_fields_is_malformed(tmp_path):
+    ibm = write(tmp_path, "i.csv", "id,topic,argument,wa\nb1,T,A,0.5,oops,more\n")
+    gaq = write(tmp_path, "g.csv", GAQ_HEADER + "a1,qa,T,A,3,3,3,oops\n")
+    for path in (ibm, gaq):
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
+
 JSONL_ROW = '{"id": "a0", "topic": "T", "argument": "A", "wa": 0.5}\n'
 
 
@@ -151,6 +162,45 @@ def test_jsonl_roundtrip_field_identical(tmp_path):
     for orig, loaded in zip(ds.records, back.records):
         assert loaded == orig
     assert back.split_assignment == ds.split_assignment
+
+
+def test_jsonl_roundtrip_keeps_domain_of_every_layout(tmp_path):
+    records = [
+        ArgumentRecord(id="a1", domain_tag="qa", topic="T", argument="A",
+                       labels=QualityScores(3.0, 2.5, 4.0)),
+        ArgumentRecord(id="b1", domain_tag="reviews", topic="T", argument="A", wa_label=0.5),
+        ArgumentRecord(id="c1", domain_tag="forum", topic="T", argument="A"),
+    ]
+    path = tmp_path / "mixed.jsonl"
+    write_dataset(Dataset(records=records, name="mixed"), path)
+    assert load_dataset(path).records == records
+    # three-score lines keep their field order
+    assert path.read_text(encoding="utf-8").splitlines()[0] == (
+        '{"id": "a1", "topic": "T", "argument": "A", "domain": "qa", '
+        '"cogency": 3.0, "effectiveness": 2.5, "reasonableness": 4.0}'
+    )
+
+
+def test_csv_write_rejects_unlabelled_record(tmp_path):
+    records = [
+        ArgumentRecord(id="b1", topic="T", argument="A", wa_label=0.5),
+        ArgumentRecord(id="c1", topic="T", argument="A"),
+    ]
+    path = tmp_path / "out.csv"
+    with pytest.raises(CorpusError, match="c1"):
+        write_dataset(Dataset(records=records), path)
+    assert not path.exists()
+
+
+def test_csv_write_rejects_mixed_layouts(tmp_path):
+    records = [
+        ArgumentRecord(id="b1", topic="T", argument="A", wa_label=0.5),
+        ArgumentRecord(id="a1", topic="T", argument="A", labels=QualityScores(3.0, 3.0, 3.0)),
+    ]
+    path = tmp_path / "out.csv"
+    with pytest.raises(CorpusError, match="b1"):
+        write_dataset(Dataset(records=records), path)
+    assert not path.exists()
 
 
 def test_csv_roundtrip_field_identical(tmp_path):

@@ -10,6 +10,7 @@ from argscore.model import (
     forward,
     init_parameters,
     load_checkpoint,
+    save_checkpoint,
 )
 from argscore.seeding import stream
 from argscore.train import (
@@ -19,9 +20,7 @@ from argscore.train import (
     apply_masking,
     clip_gradients,
     grad_check,
-    load_optimizer,
     loss,
-    save_training,
     train,
 )
 
@@ -204,20 +203,14 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     config = _memo_config(vocab)
     tcfg = TrainConfig(epochs=2, rng_seed=0, active_kinds=frozenset())
     params = init_parameters(config, 1)
-    best, state, optimizer = train(params, config, tcfg, ds, {}, vocab)
-    save_training(tmp_path / "ckpt", best, config, vocab, state, optimizer)
+    best, _, _ = train(params, config, tcfg, ds, {}, vocab)
+    save_checkpoint(tmp_path / "ckpt", best, config, vocab)
 
     loaded, loaded_config, loaded_vocab = load_checkpoint(tmp_path / "ckpt")
     assert loaded_config == config
     assert loaded_vocab.id_to_token == vocab.id_to_token
     for name in best.tensors:
         assert (loaded.tensors[name] == best.tensors[name]).all()
-
-    restored = load_optimizer(tmp_path / "ckpt", loaded, tcfg)
-    assert restored.t == optimizer.t
-    for name in optimizer.m:
-        assert (restored.m[name] == optimizer.m[name]).all()
-        assert (restored.v[name] == optimizer.v[name]).all()
 
 
 def test_grad_check_runs_inside_runtime_budget():
