@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -26,7 +26,7 @@ from argscore.augment.providers import (
     ProviderError,
     ProviderTimeout,
 )
-from argscore.corpus import ArgumentRecord
+from argscore.corpus import ArgumentRecord, MalformedRow, _jsonl_rows
 
 __all__ = [
     "AugmentationKind",
@@ -159,41 +159,40 @@ def write_augmentations(path: str | Path, sets: dict[str, AugmentationSet]) -> N
     """One JSON object per record id; absent kinds serialize as null."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for record_id, aug in sets.items():
-            obj = {
-                "id": record_id,
-                "feedback": aug.feedback,
-                "assumptions": aug.assumptions,
-                "similar_quality": aug.similar_quality,
-                "counter_argument": aug.counter_argument,
-                "metadata": {
-                    k: {
-                        "provider": m.provider,
-                        "model": m.model,
-                        "timestamp": m.timestamp,
-                        "prompt_hash": m.prompt_hash,
-                    }
-                    for k, m in aug.metadata.items()
-                },
-            }
+            obj = {"id": record_id, **{kind.value: aug.get(kind) for kind in KIND_ORDER},
+                   "metadata": {k: asdict(m) for k, m in aug.metadata.items()}}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def read_augmentations(path: str | Path) -> dict[str, AugmentationSet]:
+    """Read what ``write_augmentations`` wrote. Each line is an object with a
+    new string ``id``, each of the four kinds as a non-empty string or null,
+    and ``metadata`` mapping kinds to their generation fields; any other line
+    raises ``MalformedRow`` with its line number."""
     sets: dict[str, AugmentationSet] = {}
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            metadata = {
-                k: GenerationMetadata(**m) for k, m in obj.get("metadata", {}).items()
-            }
-            sets[obj["id"]] = AugmentationSet(
-                feedback=obj.get("feedback"),
-                assumptions=obj.get("assumptions"),
-                similar_quality=obj.get("similar_quality"),
-                counter_argument=obj.get("counter_argument"),
-                metadata=metadata,
-            )
+        for line, obj in _jsonl_rows(fh):
+            if obj["id"] in sets:
+                raise MalformedRow(line, f"duplicate id {obj['id']!r}")
+            sets[obj["id"]] = _augmentation_set(obj, line)
     return sets
+
+
+_KINDS = tuple(k.value for k in KIND_ORDER)
+
+
+def _augmentation_set(obj: dict, line: int) -> AugmentationSet:
+    unknown = sorted(obj.keys() - {"id", "metadata", *_KINDS})
+    if unknown:
+        raise MalformedRow(line, f"unknown field {unknown[0]!r}")
+    texts = {kind: obj.get(kind) for kind in _KINDS}
+    if any(text is not None and not isinstance(text, str) for text in texts.values()):
+        raise MalformedRow(line, "a context text must be a string or null")
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict) or not metadata.keys() <= set(_KINDS):
+        raise MalformedRow(line, "metadata must map kind names to objects")
+    try:
+        return AugmentationSet(
+            metadata={kind: GenerationMetadata(**m) for kind, m in metadata.items()}, **texts)
+    except (TypeError, ValueError) as exc:  # bad generation fields, or an empty text
+        raise MalformedRow(line, str(exc))

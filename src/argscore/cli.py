@@ -10,8 +10,9 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from argscore import augment as aug_mod
 from argscore import corpus as corpus_mod
@@ -72,12 +73,37 @@ class RunConfig:
 
 
 def _check_settings(kind: str, data, cls) -> None:
+    """Every key of ``data`` names a field of the dataclass ``cls`` and holds a
+    JSON value of the type the field is annotated with."""
     if not isinstance(data, dict):
         raise ValueError(f"{kind} settings must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
+    hints = get_type_hints(cls)
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in data.items():
+        if key not in annotations:
             raise ValueError(f"unknown {kind} setting {key!r}")
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{kind} setting {key!r} must be {annotations[key]}, got {value!r}")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value can stand for a field annotated ``hint``:
+    a list for a tuple or a set, an int for a float, an enum's value for it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_fits(v, a) for v, a in zip(value, args)))
+    if origin is frozenset:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return value in {m.value for m in hint}
+    return isinstance(value, origin or hint)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -128,9 +154,9 @@ def cmd_augment(args) -> int:
     kinds = parse_kinds(args.kinds)
     provider = _make_provider(cfg.provider, cfg.seed)
     cache = PromptCache(cfg.cache_dir) if cfg.cache_dir else None
-    exemplars = load_exemplars(args.exemplars) if args.exemplars else load_exemplars()
-    max_parallel = getattr(provider, "config", None)
-    workers = max_parallel.max_parallel if max_parallel else 1
+    exemplars = load_exemplars(args.exemplars)
+    provider_config = getattr(provider, "config", None)
+    workers = provider_config.max_parallel if provider_config else 1
 
     skipped_sq = sum(
         1 for r in dataset.records
@@ -145,11 +171,9 @@ def cmd_augment(args) -> int:
         return record.id, aug_mod.generate(record, wanted, provider, cache=cache,
                                            exemplars=exemplars)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, dataset.records))
-    else:
-        results = [one(r) for r in dataset.records]
+    # map keeps record order, and cancels pending records after a failure
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(one, dataset.records))
 
     out_path = Path(args.out or "augmentations.jsonl")
     if out_path.is_dir():

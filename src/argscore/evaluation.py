@@ -1,5 +1,6 @@
-"""Pearson/Spearman correlation of predictions against gold labels, per-metric
-report rows, and the ablation table."""
+"""Scoring of a split: prediction, Pearson/Spearman correlation against gold
+labels, per-metric report rows, and the ablation table. ``evaluate`` is the
+one function that scores a split; training selects its best epoch with it."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import Dataset
-from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, predict
+from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, encoding, network
 
 
 class LengthMismatch(ValueError):
@@ -111,6 +112,13 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
     return "+".join(k.value for k in KIND_ORDER if k in active)
 
 
+def predict(params, config, vocab, record, aug, active_kinds=()) -> np.ndarray:
+    """Deterministic inference for one record; no dropout, no masking. Returns
+    the three unclamped head outputs."""
+    enc = encoding.encode_input(record, aug, vocab, config, active_kinds)
+    return network.forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2).outputs
+
+
 def evaluate(
     params: ModelParameters,
     config: ModelConfig,
@@ -121,7 +129,10 @@ def evaluate(
     active_kinds: Iterable[AugmentationKind] = (),
 ) -> EvalRow:
     """Predict every record of the split (no masking; all present active
-    context texts supplied) and correlate unclamped outputs with gold."""
+    context texts supplied) and correlate unclamped outputs with gold.
+
+    This is the one scoring path: ``train`` picks its best epoch by this
+    row's ``mean_spearman()`` on the dev split."""
     records = dataset.split(split)
     if not records:
         raise EmptySplit(f"split {split!r} of {dataset.name!r} is empty")

@@ -13,7 +13,6 @@ from argscore.model.network import (
     init_parameters,
     parameter_names,
     parameter_shapes,
-    predict,
 )
 from argscore.model.vocab import (
     CLS_ID,
@@ -52,7 +51,6 @@ __all__ = [
     "load_checkpoint",
     "parameter_names",
     "parameter_shapes",
-    "predict",
     "save_checkpoint",
     "tokenize",
 ]

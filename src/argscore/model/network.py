@@ -39,9 +39,6 @@ class ModelParameters:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def names(self) -> list[str]:
-        return list(self.tensors.keys())
-
     def copy(self) -> "ModelParameters":
         return ModelParameters({k: v.copy() for k, v in self.tensors.items()})
 
@@ -188,26 +185,23 @@ def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
     rate = config.dropout_rate
     n = ids.shape[0]
     x = p[f"{enc}.tok_emb"][ids] + p[f"{enc}.pos_emb"][:n]
-    cache: dict = {"ids": ids, "mask": mask, "layers": [], "attn_probs": []}
+    cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
     if dropout_on:
         dm = _dropout_mask(rng, x.shape, rate)
         cache["dm_emb"] = dm
         x = x * dm
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
-        lc: dict = {"x0": x}
         y1, xh1, rstd1 = kernels.layer_norm(
             x, p[f"{base}.ln1.gamma"], p[f"{base}.ln1.beta"], LN_EPS
         )
-        lc["y1"], lc["xh1"], lc["rstd1"] = y1, xh1, rstd1
         attn_out, ac = _attention(p, f"{base}.attn", y1, y1, mask, config.num_heads)
-        lc["attn"] = ac
+        lc: dict = {"xh1": xh1, "rstd1": rstd1, "attn": ac}
         cache["attn_probs"].append(ac["probs"])
         if dropout_on:
             lc["dm_attn"] = _dropout_mask(rng, attn_out.shape, rate)
             attn_out = attn_out * lc["dm_attn"]
         x = x + attn_out
-        lc["x1"] = x
         y2, xh2, rstd2 = kernels.layer_norm(
             x, p[f"{base}.ln2.gamma"], p[f"{base}.ln2.beta"], LN_EPS
         )
@@ -221,7 +215,6 @@ def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
             f = f * lc["dm_ffn"]
         x = x + f
         cache["layers"].append(lc)
-    cache["x_final_in"] = x
     out, xhf, rstdf = kernels.layer_norm(
         x, p[f"{enc}.final_ln.gamma"], p[f"{enc}.final_ln.beta"], LN_EPS
     )
@@ -285,7 +278,7 @@ def _forward_internal(params, config, seq1, seq2, mask1, mask2, dropout_on, rng_
     p = params.tensors
     rng = np.random.default_rng(rng_seed) if dropout_on else None
     enc1_out, c1 = _encoder_forward(p, "enc1", seq1, mask1, config, rng, dropout_on)
-    cache: dict = {"c1": c1, "mask1": mask1, "mask2": mask2}
+    cache: dict = {"c1": c1, "mask1": mask1}
     has_context = seq2.shape[0] > 0 and mask2.sum() > 0
     cross_probs = None
     enc2_out = None
@@ -300,7 +293,6 @@ def _forward_internal(params, config, seq1, seq2, mask1, mask2, dropout_on, rng_
         fused = enc1_out + cross_out
     else:
         fused = enc1_out
-    cache["enc1_out"], cache["fused"] = enc1_out, fused
     n_pool = mask1.sum()
     pooled = (fused * mask1[:, None]).sum(axis=0) / n_pool
     outputs = np.empty(3)
@@ -384,14 +376,3 @@ def backward(
         _encoder_backward(p, "enc2", config, cache["c2"], dxkv, grads)
     _encoder_backward(p, "enc1", config, cache["c1"], denc1, grads)
     return loss, grads
-
-
-def predict(params, config, vocab, record, aug, active_kinds=()) -> np.ndarray:
-    """Deterministic inference for one record; no dropout, no masking. Returns
-    the three unclamped head outputs."""
-    from argscore.model.encoding import encode_input
-
-    enc = encode_input(record, aug, vocab, config, active_kinds)
-    trace = forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2,
-                    dropout_enabled=False, rng_seed=0)
-    return trace.outputs

@@ -12,6 +12,7 @@ import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import Dataset
+from argscore.evaluation import evaluate
 from argscore.model import (
     ModelConfig,
     ModelParameters,
@@ -45,10 +46,6 @@ class NonFiniteLoss(Exception):
         self.step = diagnostics["step"]
         self.diagnostics = diagnostics
         super().__init__(f"training diverged at step {self.step}: {diagnostics['reason']}")
-
-
-class NonFiniteInput(ValueError):
-    pass
 
 
 @dataclass
@@ -112,15 +109,6 @@ class TrainState:
         }
 
 
-def loss(predictions, target) -> float:
-    """Mean squared error over the three heads."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if not (np.isfinite(predictions).all() and np.isfinite(target).all()):
-        raise NonFiniteInput("loss inputs must be finite")
-    return float(np.mean((predictions - target) ** 2))
-
-
 def apply_masking(aug: AugmentationSet, gamma: float, rng: np.random.Generator) -> AugmentationSet:
     """Keep the similar-quality text with probability gamma, drop it otherwise.
     Always consumes exactly one uniform draw; other kinds pass through."""
@@ -170,21 +158,6 @@ def learning_rate_at(peak: float, step: int, total_steps: int) -> float:
     return peak * (1.0 - step / total_steps)
 
 
-def _mean_dev_spearman(params, config, vocab, dev_encoded, dev_targets) -> float:
-    from argscore.evaluation import spearman
-
-    preds = np.empty((len(dev_encoded), 3))
-    for i, enc in enumerate(dev_encoded):
-        trace = forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2)
-        preds[i] = trace.outputs
-    values = []
-    for m in range(3):
-        s = spearman(preds[:, m], dev_targets[:, m])
-        if s is not None:
-            values.append(s)
-    return float(np.mean(values)) if values else 0.0
-
-
 def train(
     params: ModelParameters,
     config: ModelConfig,
@@ -194,6 +167,12 @@ def train(
     vocab: Vocabulary,
 ) -> tuple[ModelParameters, TrainState, AdamOptimizer]:
     """Optimize on the train split; model selection by mean dev Spearman.
+
+    After each epoch the dev split is scored by ``evaluation.evaluate`` with
+    ``tcfg.active_kinds`` (no masking), and the parameters of the epoch with
+    the highest ``mean_spearman()`` are returned; a row whose correlations are
+    all undefined counts as 0.0. Every dev record needs gold scores, and a dev
+    split needs at least two records; both are checked before the first step.
 
     Per visited example the similar-quality text is re-masked, the example is
     encoded and run with dropout, and its gradient is added by ``backward``
@@ -212,6 +191,10 @@ def train(
     for rec in train_recs:
         if rec.labels is None:
             raise ValueError(f"training record {rec.id!r} has no gold scores")
+    if any(rec.labels is None for rec in dev_recs):
+        raise ValueError("dev split contains records without gold scores")
+    if len(dev_recs) == 1:
+        raise ValueError("dev split has one record; correlations need at least two")
 
     targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
     empty = AugmentationSet()
@@ -221,18 +204,6 @@ def train(
     state = TrainState()
     params = params.copy()
     dropout_on = config.dropout_rate > 0.0
-
-    dev_encoded = []
-    dev_targets = None
-    if dev_recs:
-        dev_sets = [augmentations.get(r.id) or empty for r in dev_recs]
-        dev_encoded = [
-            encode_input(r, a, vocab, config, tcfg.active_kinds)
-            for r, a in zip(dev_recs, dev_sets)
-        ]
-        dev_targets = np.array([r.labels.normalized() for r in dev_recs if r.labels])
-        if len(dev_targets) != len(dev_recs):
-            raise ValueError("dev split contains records without gold scores")
 
     best_params: Optional[ModelParameters] = None
     best_score = -np.inf
@@ -280,7 +251,9 @@ def train(
         state.loss_history.append(float(np.mean(epoch_losses)))
         state.epochs_run = epoch + 1
         if dev_recs:
-            dev_score = _mean_dev_spearman(params, config, vocab, dev_encoded, dev_targets)
+            mean = evaluate(params, config, vocab, dataset, augmentations, "dev",
+                            tcfg.active_kinds).mean_spearman()
+            dev_score = 0.0 if mean is None else mean
             state.dev_spearman_history.append(dev_score)
             if dev_score > best_score:
                 best_score = dev_score

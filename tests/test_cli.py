@@ -31,6 +31,42 @@ def test_unknown_config_setting_exits_one(tmp_path, capsys):
         assert f"error: unknown {kind} setting 'foo'" in capsys.readouterr().err
 
 
+def test_wrongly_typed_config_setting_exits_one(tmp_path, capsys):
+    for settings, kind, key in (({"split_ratios": 5}, "run", "split_ratios"),
+                                ({"seed": "x"}, "run", "seed"),
+                                ({"model": {"model_dim": "8"}}, "model", "model_dim"),
+                                ({"train": {"adam_betas": [0.9]}}, "train", "adam_betas"),
+                                ({"train": {"active_kinds": ["feedbak"]}}, "train",
+                                 "active_kinds")):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        assert cli.main(["train", "--config", str(config), "--no-augs"]) == 1
+        assert f"error: {kind} setting '{key}' must be " in capsys.readouterr().err
+
+
+def test_well_typed_config_settings_pass_the_check(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dataset": None, "seed": 3, "split_ratios": [1, 0, 0],
+        "model": {"dropout_rate": 0, "mode": "single"},
+        "train": {"learning_rate": 1, "adam_betas": [0.9, 0.99],
+                  "active_kinds": ["feedback"]},
+    }), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--no-augs"]) == 1
+    assert "error: no dataset given" in capsys.readouterr().err
+
+
+def test_malformed_augmentations_exit_one_with_line(tmp_path, tiny_dataset, capsys):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    augs = tmp_path / "augs.jsonl"
+    augs.write_text('{"id": "t0", "feedback": "fine"}\n{"id": "t1", "feedback": 5}\n',
+                    encoding="utf-8")
+    assert cli.main(["train", "--dataset", str(data), "--augmentations", str(augs),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):
     data = tmp_path / "tiny.jsonl"
     write_dataset(tiny_dataset, data)

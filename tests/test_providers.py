@@ -21,6 +21,7 @@ from argscore.augment import (
     write_augmentations,
 )
 from argscore.augment.providers import EPOCH_TIMESTAMP
+from argscore.corpus import MalformedRow
 from tests.conftest import make_record
 
 
@@ -234,3 +235,30 @@ def test_augmentation_jsonl_roundtrip(tmp_path):
     write_augmentations(path, sets)
     back = read_augmentations(path)
     assert back == sets
+
+
+GOOD_META = {"provider": "mock", "model": "m", "timestamp": EPOCH_TIMESTAMP, "prompt_hash": "h"}
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param('{"feedback": "text"}', id="no-id"),
+    pytest.param('{"id": "r1", "feedback": 5}', id="text-not-string"),
+    pytest.param('["r1", "text"]', id="not-an-object"),
+    pytest.param('{"id": "r1", "metadata": {"feedback": {"provider": "mock"}}}',
+                 id="metadata-fields-missing"),
+    pytest.param('{"id": "r1", "metadata": {"feedback": "mock"}}', id="metadata-entry-not-object"),
+    pytest.param('{"id": "r1", "metadata": ["feedback"]}', id="metadata-not-object"),
+    pytest.param('{"id": "r1", "metadata": {"feedbak": %s}}' % json.dumps(GOOD_META),
+                 id="metadata-unknown-kind"),
+    pytest.param('{"id": "r0", "feedback": "again"}', id="repeated-id"),
+    pytest.param('{"id": "r1", "feedbak": "text"}', id="misspelt-kind"),
+    pytest.param('{"id": "r1", "feedback": "  "}', id="empty-text"),
+    pytest.param('{"id": "r1", "feedback": "text"', id="invalid-json"),
+])
+def test_malformed_augmentation_line_names_its_line(tmp_path, line):
+    path = tmp_path / "a.jsonl"
+    first = {"id": "r0", "feedback": "fine", "metadata": {"feedback": GOOD_META}}
+    path.write_text(json.dumps(first) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_augmentations(path)
+    assert err.value.line == 2

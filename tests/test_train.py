@@ -13,31 +13,15 @@ from argscore.model import (
     save_checkpoint,
 )
 from argscore.seeding import stream
+from argscore import train as train_mod
 from argscore.train import (
-    NonFiniteInput,
     NonFiniteLoss,
     TrainConfig,
     apply_masking,
     clip_gradients,
     grad_check,
-    loss,
     train,
 )
-
-
-class TestLoss:
-    def test_perfect_fit(self):
-        assert loss((0.2, 0.5, 0.9), (0.2, 0.5, 0.9)) == 0.0
-
-    def test_unit_error_per_head(self):
-        assert loss((1, 1, 1), (0, 0, 0)) == 1.0
-
-    def test_single_head_arithmetic(self):
-        assert loss((0.5, 0, 0), (0, 0, 0)) == pytest.approx(0.25 / 3, abs=1e-15)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            loss((float("nan"), 0, 0), (0, 0, 0))
 
 
 FULL_AUG = AugmentationSet(feedback="keep this", similar_quality="maybe this",
@@ -196,6 +180,19 @@ class TestTrainLoop:
         assert len(state.dev_spearman_history) == 4
         assert max(state.dev_spearman_history) == \
             state.dev_spearman_history[state.best_epoch]
+
+    def test_one_record_dev_split_fails_before_the_first_step(self, monkeypatch):
+        ds, vocab = _memo_dataset(n=12)
+        ds.split_assignment["m11"] = "dev"
+        config = _memo_config(vocab)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step was taken")
+
+        monkeypatch.setattr(train_mod, "backward", no_step)
+        tcfg = TrainConfig(epochs=1, rng_seed=0, active_kinds=frozenset())
+        with pytest.raises(ValueError, match="dev"):
+            train(init_parameters(config, 1), config, tcfg, ds, {}, vocab)
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
