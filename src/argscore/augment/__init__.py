@@ -26,7 +26,14 @@ from argscore.augment.providers import (
     ProviderError,
     ProviderTimeout,
 )
-from argscore.corpus import ArgumentRecord, MalformedRow, _jsonl_rows
+from argscore.corpus import (
+    ArgumentRecord,
+    Dataset,
+    MalformedRow,
+    _jsonl_rows,
+    corpus_texts,
+    naming_file,
+)
 
 __all__ = [
     "AugmentationKind",
@@ -50,6 +57,7 @@ __all__ = [
     "parse_kinds",
     "read_augmentations",
     "render_prompt",
+    "vocab_texts",
     "write_augmentations",
 ]
 
@@ -155,6 +163,15 @@ def generate(
     return AugmentationSet(metadata=metadata, **texts)
 
 
+def vocab_texts(dataset: Dataset, sets: dict[str, AugmentationSet]) -> list[str]:
+    """The texts a vocabulary is built from: every record's topic and
+    argument, then every set's non-empty context texts in ``KIND_ORDER``."""
+    texts = list(corpus_texts(dataset))
+    for aug in sets.values():
+        texts += [text for kind in KIND_ORDER if (text := aug.get(kind))]
+    return texts
+
+
 def write_augmentations(path: str | Path, sets: dict[str, AugmentationSet]) -> None:
     """One JSON object per record id; absent kinds serialize as null."""
     with Path(path).open("w", encoding="utf-8") as fh:
@@ -168,9 +185,9 @@ def read_augmentations(path: str | Path) -> dict[str, AugmentationSet]:
     """Read what ``write_augmentations`` wrote. Each line is an object with a
     new string ``id``, each of the four kinds as a non-empty string or null,
     and ``metadata`` mapping kinds to their generation fields; any other line
-    raises ``MalformedRow`` with its line number."""
+    raises ``MalformedRow`` with the file and line number."""
     sets: dict[str, AugmentationSet] = {}
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8") as fh, naming_file(path):
         for line, obj in _jsonl_rows(fh):
             if obj["id"] in sets:
                 raise MalformedRow(line, f"duplicate id {obj['id']!r}")

@@ -41,8 +41,9 @@ class PromptCache:
             entry = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CacheCorrupt(path, str(exc))
-        if "prompt" not in entry or "response" not in entry:
-            raise CacheCorrupt(path, "missing fields")
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("prompt", "response"))):
+            raise CacheCorrupt(path, "not an object with a string prompt and response")
         if entry["prompt"] != prompt:
             raise CacheCorrupt(path, "stored prompt does not match key")
         return entry["response"]

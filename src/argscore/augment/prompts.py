@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from argscore.corpus import ArgumentRecord
+from argscore.jsonobj import from_json
 
 
 class AugmentationKind(str, Enum):
@@ -160,6 +161,9 @@ def load_exemplars(path: str | Path | None = None) -> list[FewShotExemplar]:
         raw = resources.files("argscore.augment").joinpath("exemplars.json").read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
-    pool = [FewShotExemplar(**obj) for obj in json.loads(raw)]
+    data = json.loads(raw)
+    if not isinstance(data, list):
+        raise ValueError("an exemplar file must hold a JSON list")
+    pool = [from_json(FewShotExemplar, obj, "exemplar") for obj in data]
     validate_exemplar_pool(pool)
     return pool

@@ -16,6 +16,7 @@ from pathlib import Path
 import requests
 
 from argscore.augment.prompts import NO_ASSUMPTIONS, AugmentationKind
+from argscore.jsonobj import from_json
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -53,8 +54,7 @@ class ProviderConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ProviderConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        return from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")), "provider")
 
 
 class HttpProvider:

@@ -9,10 +9,9 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from enum import Enum
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from argscore import augment as aug_mod
 from argscore import corpus as corpus_mod
@@ -29,6 +28,7 @@ from argscore.augment import (
     read_augmentations,
     write_augmentations,
 )
+from argscore.jsonobj import check, from_json, to_json
 from argscore.model import (
     CheckpointError,
     ModelConfig,
@@ -56,66 +56,24 @@ class RunConfig:
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.split_ratios = tuple(self.split_ratios)
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        _check_settings("run", data, cls)
-        _check_settings("model", data.get("model", {}), ModelConfig)
-        _check_settings("train", data.get("train", {}), train_mod.TrainConfig)
-        cfg = cls(**data)
-        cfg.split_ratios = tuple(cfg.split_ratios)
+        cfg = from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")), "run")
+        check(ModelConfig, cfg.model, "model")
+        if "vocab_size" in cfg.model:  # the vocabulary sets it
+            raise ValueError("model setting 'vocab_size' is not settable; use vocab_max_size")
+        check(train_mod.TrainConfig, cfg.train, "train")
         return cfg
-
-    def validate_paths(self) -> None:
-        for label, value in (("dataset", self.dataset), ("augmentations", self.augmentations)):
-            if value is not None and not Path(value).exists():
-                raise FileNotFoundError(f"{label} path does not exist: {value}")
-
-
-def _check_settings(kind: str, data, cls) -> None:
-    """Every key of ``data`` names a field of the dataclass ``cls`` and holds a
-    JSON value of the type the field is annotated with."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{kind} settings must be a JSON object")
-    hints = get_type_hints(cls)
-    annotations = {f.name: f.type for f in fields(cls)}
-    for key, value in data.items():
-        if key not in annotations:
-            raise ValueError(f"unknown {kind} setting {key!r}")
-        if not _fits(value, hints[key]):
-            raise ValueError(f"{kind} setting {key!r} must be {annotations[key]}, got {value!r}")
-
-
-def _fits(value, hint) -> bool:
-    """Whether a decoded JSON value can stand for a field annotated ``hint``:
-    a list for a tuple or a set, an int for a float, an enum's value for it."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(_fits(v, a) for v, a in zip(value, args)))
-    if origin is frozenset:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return value in {m.value for m in hint}
-    return isinstance(value, origin or hint)
 
 
 def _load_run_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "dataset", None):
-        cfg.dataset = args.dataset
-    if getattr(args, "augmentations", None):
-        cfg.augmentations = args.augmentations
-    if getattr(args, "cache_dir", None):
-        cfg.cache_dir = args.cache_dir
-    if getattr(args, "provider", None):
-        cfg.provider = args.provider
+    for name in ("dataset", "augmentations", "cache_dir", "provider"):
+        if getattr(args, name, None):
+            setattr(cfg, name, getattr(args, name))
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -133,16 +91,6 @@ def _ensure_splits(dataset, cfg: RunConfig):
     if dataset.split_assignment:
         return dataset
     return corpus_mod.assign_splits(dataset, cfg.split_ratios, split_seed=derive_seed(cfg.seed, 6))
-
-
-def _collect_texts(dataset, augmentations) -> list[str]:
-    texts = list(corpus_mod.corpus_texts(dataset))
-    for aug in augmentations.values():
-        for kind in aug_mod.KIND_ORDER:
-            text = aug.get(kind)
-            if text:
-                texts.append(text)
-    return texts
 
 
 def cmd_augment(args) -> int:
@@ -187,20 +135,11 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _build_model_config(cfg: RunConfig, vocab: Vocabulary, mode: Optional[str]) -> ModelConfig:
-    overrides = dict(cfg.model)
-    overrides.pop("vocab_size", None)
-    if mode:
-        overrides["mode"] = mode
-    return ModelConfig(vocab_size=len(vocab), **overrides)
-
-
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if not cfg.dataset:
         print("error: no dataset given (use --dataset or --config)", file=sys.stderr)
         return 1
-    cfg.validate_paths()
     dataset = corpus_mod.load_dataset(cfg.dataset)
     dataset = _ensure_splits(dataset, cfg)
     augmentations = {}
@@ -211,24 +150,25 @@ def cmd_train(args) -> int:
             return 1
         augmentations = read_augmentations(cfg.augmentations)
 
-    vocab = build_vocab(_collect_texts(dataset, augmentations), max_size=cfg.vocab_max_size)
-    config = _build_model_config(cfg, vocab, args.mode)
+    vocab = build_vocab(aug_mod.vocab_texts(dataset, augmentations), max_size=cfg.vocab_max_size)
+    model_settings = {**cfg.model, "vocab_size": len(vocab)}
+    if args.mode:
+        model_settings["mode"] = args.mode
+    config = from_json(ModelConfig, model_settings, "model")
 
-    train_overrides = dict(cfg.train)
+    train_settings = dict(cfg.train)
     if args.epochs is not None:
-        train_overrides["epochs"] = args.epochs
+        train_settings["epochs"] = args.epochs
     if args.augs is not None:
-        train_overrides["active_kinds"] = sorted(k.value for k in parse_kinds(args.augs))
-    train_overrides.setdefault("rng_seed", cfg.seed)
-    tcfg = train_mod.TrainConfig(**train_overrides)
+        train_settings["active_kinds"] = sorted(k.value for k in parse_kinds(args.augs))
+    train_settings.setdefault("rng_seed", cfg.seed)
+    tcfg = from_json(train_mod.TrainConfig, train_settings, "train")
 
     params = init_parameters(config, seed=derive_seed(cfg.seed, 0))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        best, state, _ = train_mod.train(
-            params, config, tcfg, dataset, augmentations, vocab
-        )
+        best, state, _ = train_mod.train(params, config, tcfg, dataset, augmentations, vocab)
     except train_mod.NonFiniteLoss as exc:
         dump = out_dir / "diagnostics.json"
         dump.write_text(json.dumps(exc.diagnostics, indent=2), encoding="utf-8")
@@ -237,12 +177,8 @@ def cmd_train(args) -> int:
 
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(ckpt_dir, best, config, vocab)
-    (out_dir / "train_config.json").write_text(
-        json.dumps(tcfg.to_dict(), indent=2), encoding="utf-8"
-    )
-    (out_dir / "train_state.json").write_text(
-        json.dumps(state.to_dict(), indent=2), encoding="utf-8"
-    )
+    for name, obj in (("train_config.json", tcfg), ("train_state.json", state)):
+        (out_dir / name).write_text(json.dumps(to_json(obj), indent=2), encoding="utf-8")
     dev = state.dev_spearman_history[state.best_epoch] if state.dev_spearman_history else float("nan")
     print(f"best_epoch={state.best_epoch} dev_spearman_mean={dev:.4f} "
           f"epochs_run={state.epochs_run} checkpoint={ckpt_dir}")

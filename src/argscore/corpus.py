@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -38,9 +39,18 @@ class MissingColumn(CorpusError):
 
 
 class MalformedRow(CorpusError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"malformed row at line {line}: {reason}")
-        self.line = line
+    def __init__(self, line: int, reason: str, path: Optional[str] = None):
+        super().__init__(f"malformed row at line {line}{' of ' + path if path else ''}: {reason}")
+        self.line, self.reason = line, reason
+
+
+@contextmanager
+def naming_file(path: str | Path) -> Iterator[None]:
+    """Put ``path`` into a ``MalformedRow`` raised in the block."""
+    try:
+        yield
+    except MalformedRow as exc:
+        raise MalformedRow(exc.line, exc.reason, str(path)) from None
 
 
 class ScoreOutOfRange(CorpusError):
@@ -248,7 +258,7 @@ def load_dataset(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)
     records: list[ArgumentRecord] = []
     splits: dict[str, str] = {}
     seen: set[str] = set()
-    with path.open(newline=None if jsonl else "", encoding="utf-8") as fh:
+    with path.open(newline=None if jsonl else "", encoding="utf-8") as fh, naming_file(path):
         for line, row in _jsonl_rows(fh) if jsonl else _csv_rows(fh, path):
             rec, split = _record(row, line, seen, label_range, path)
             records.append(rec)
@@ -286,29 +296,17 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         if (rec.labels if three_score else rec.wa_label) is None:
             wanted = "three scores" if three_score else "a wa score"
             raise CorpusError(f"cannot write {path} as CSV: record {rec.id!r} lacks {wanted}")
+    columns = (GAQ_COLUMNS if three_score else IBM_COLUMNS) + (["split"] if has_split else [])
+    score_columns = GAQ_COLUMNS[4:] if three_score else ["wa"]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        if three_score:
-            columns = GAQ_COLUMNS + (["split"] if has_split else [])
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for rec in dataset.records:
-                row = [
-                    rec.id, rec.domain_tag, rec.topic, rec.argument,
-                    repr(rec.labels.cogency), repr(rec.labels.effectiveness),
-                    repr(rec.labels.reasonableness),
-                ]
-                if has_split:
-                    row.append(dataset.split_assignment.get(rec.id, ""))
-                writer.writerow(row)
-        else:
-            columns = IBM_COLUMNS + (["split"] if has_split else [])
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for rec in dataset.records:
-                row = [rec.id, rec.topic, rec.argument, repr(rec.wa_label)]
-                if has_split:
-                    row.append(dataset.split_assignment.get(rec.id, ""))
-                writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for rec in dataset.records:
+            scores = rec.labels.as_tuple() if three_score else (rec.wa_label,)
+            cells = {"id": rec.id, "domain": rec.domain_tag, "topic": rec.topic,
+                     "argument": rec.argument, "split": dataset.split_assignment.get(rec.id, ""),
+                     **{c: repr(v) for c, v in zip(score_columns, scores)}}
+            writer.writerow([cells[c] for c in columns])
 
 
 def assign_splits(

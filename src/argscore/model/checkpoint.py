@@ -14,7 +14,8 @@ lose the save. A directory that exists but holds no ``manifest.json`` is not a
 checkpoint: saving over it raises ``CheckpointError`` and leaves it untouched.
 
 A load raises ``CheckpointError`` on an unreadable manifest, an unsupported
-format version, a bad config, a vocabulary whose hash differs from the
+format version, a config that ``jsonobj.from_json`` or ``ModelConfig`` rejects
+(a float ``num_layers``, say), a vocabulary whose hash differs from the
 manifest's or whose size differs from ``config.vocab_size``, and a
 ``params.bin`` whose length is not the config's parameter count. The loaded
 tensors are views into one buffer.
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from argscore.jsonobj import from_json, to_json
 from argscore.model.config import ModelConfig
 from argscore.model.network import ModelParameters, parameter_shapes
 from argscore.model.vocab import Vocabulary
@@ -64,7 +66,7 @@ def save_checkpoint(
     vocab.save(staging / "vocab.txt")
     manifest = {
         "format_version": FORMAT_VERSION,
-        "config": config.to_dict(),
+        "config": to_json(config),
         "vocab_sha256": vocab.sha256(),
     }
     (staging / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
@@ -85,9 +87,9 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {manifest.get('format_version')}")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad config in {manifest_path}: {exc!r}")
+        config = from_json(ModelConfig, manifest.get("config"), "model")
+    except ValueError as exc:
+        raise CheckpointError(f"bad config in {manifest_path}: {exc}")
 
     try:
         vocab = Vocabulary.load(directory / "vocab.txt")

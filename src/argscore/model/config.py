@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 MODES = ("dual", "single")
 
@@ -32,10 +32,3 @@ class ModelConfig:
                      "ffn_dim", "num_cross_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)

@@ -31,6 +31,7 @@ from argscore.augment import (
     generate,
     load_exemplars,
     render_prompt,
+    vocab_texts,
 )
 from argscore.corpus import ArgumentRecord, Dataset, QualityScores
 from argscore.evaluation import EvalRow, evaluate
@@ -179,13 +180,7 @@ def run_experiment(
     cache_dir = out_dir / "cache" if out_dir is not None else None
     augmentations = build_augmentations(dataset, seed, cache_dir)
 
-    texts = []
-    for rec in dataset.records:
-        texts += [rec.topic, rec.argument]
-    for aug in augmentations.values():
-        texts += [t for t in (aug.feedback, aug.assumptions, aug.similar_quality,
-                              aug.counter_argument) if t]
-    vocab = build_vocab(texts, max_size=2000)
+    vocab = build_vocab(vocab_texts(dataset, augmentations), max_size=2000)
 
     def run(label: str, run_index: int, mode: str, kinds) -> SynthRun:
         config = ModelConfig(

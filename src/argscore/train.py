@@ -75,19 +75,6 @@ class TrainConfig:
         )
         self.adam_betas = tuple(self.adam_betas)
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "adam_betas": list(self.adam_betas),
-            "adam_eps": self.adam_eps,
-            "grad_clip_norm": self.grad_clip_norm,
-            "rng_seed": self.rng_seed,
-            "active_kinds": sorted(k.value for k in self.active_kinds),
-        }
-
 
 @dataclass
 class TrainState:
@@ -97,16 +84,6 @@ class TrainState:
     dev_spearman_history: list[float] = field(default_factory=list)
     best_epoch: int = -1
     truncated_tokens: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "epochs_run": self.epochs_run,
-            "loss_history": self.loss_history,
-            "dev_spearman_history": self.dev_spearman_history,
-            "best_epoch": self.best_epoch,
-            "truncated_tokens": self.truncated_tokens,
-        }
 
 
 def apply_masking(aug: AugmentationSet, gamma: float, rng: np.random.Generator) -> AugmentationSet:

@@ -1,7 +1,13 @@
 import json
+from importlib import resources
+
+import pytest
 
 from argscore import cli
 from argscore.corpus import write_dataset
+from argscore.model import init_parameters, save_checkpoint
+from tests.conftest import small_config
+from tests.test_checkpoint import _vocab
 
 
 def test_train_divergence_exits_one_with_diagnostics(tmp_path, tiny_dataset):
@@ -64,7 +70,59 @@ def test_malformed_augmentations_exit_one_with_line(tmp_path, tiny_dataset, caps
                     encoding="utf-8")
     assert cli.main(["train", "--dataset", str(data), "--augmentations", str(augs),
                      "--out", str(tmp_path / "out")]) == 1
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert str(augs) in err
+
+
+def test_vocab_size_in_run_config_exits_one(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"vocab_size": 100}}), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--no-augs"]) == 1
+    assert "vocab_max_size" in capsys.readouterr().err
+
+
+def _provider_args(tmp_path, obj):
+    path = tmp_path / "provider.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return ["augment", "--provider", str(path)]
+
+
+def _exemplar_args(tmp_path, change):
+    pool = json.loads(resources.files("argscore.augment").joinpath("exemplars.json")
+                      .read_text("utf-8"))
+    pool[0].update(change)
+    path = tmp_path / "exemplars.json"
+    path.write_text(json.dumps(pool), encoding="utf-8")
+    return ["augment", "--exemplars", str(path)]
+
+
+def _checkpoint_args(tmp_path, change):
+    config = small_config()
+    directory = tmp_path / "ckpt"
+    save_checkpoint(directory, init_parameters(config, 0), config, _vocab(config))
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"].update(change)
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return ["evaluate", "--checkpoint", str(directory)]
+
+
+@pytest.mark.parametrize("make_args, arg", [
+    pytest.param(_provider_args, {"base_url": "http://h/v1", "colour": "red"}, id="provider-key"),
+    pytest.param(_provider_args, {"base_url": "http://h/v1", "max_parallel": "4"},
+                 id="provider-type"),
+    pytest.param(_provider_args, ["http://h/v1"], id="provider-list"),
+    pytest.param(_exemplar_args, {"extra": 1}, id="exemplar-key"),
+    pytest.param(_exemplar_args, {"cogency": "1"}, id="exemplar-type"),
+    pytest.param(_checkpoint_args, {"num_layers": 1.0}, id="manifest-num-layers"),
+    pytest.param(_checkpoint_args, {"model_dim": 16.0}, id="manifest-model-dim"),
+])
+def test_malformed_json_input_exits_one(tmp_path, tiny_dataset, capsys, make_args, arg):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    argv = make_args(tmp_path, arg) + ["--dataset", str(data), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):

@@ -87,6 +87,19 @@ class TestCache:
         with pytest.raises(CacheCorrupt):
             cache.get(key, "p")
 
+    @pytest.mark.parametrize("entry", ['"a prompt and a response"', '["prompt", "response"]', "5",
+                                       '{"prompt": "p", "response": 5}',
+                                       '{"prompt": 5, "response": "r"}'])
+    def test_wrongly_shaped_entry_is_corrupt(self, tmp_path, entry):
+        record = make_record()
+        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
+        provider = MockProvider(seed=0)
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", prompt, provider.model_name, provider.temperature)
+        (tmp_path / key).write_text(entry.replace('"p"', json.dumps(prompt), 1))
+        with pytest.raises(CacheCorrupt):
+            generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+
 
 class TestGenerate:
     def test_cache_hit_issues_no_request(self, tmp_path):
