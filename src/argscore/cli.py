@@ -338,10 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (corpus_mod.CorpusError, aug_mod.ProviderError, aug_mod.ProviderTimeout,
+    except (OSError, corpus_mod.CorpusError, aug_mod.ProviderError, aug_mod.ProviderTimeout,
             aug_mod.CacheCorrupt, CheckpointError, evaluation.EmptySplit,
             evaluation.MissingLabels, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,7 +212,7 @@ def _record(
     rejected with the record, after the range checks."""
     rid = row["id"]
     if rid in seen:
-        raise DuplicateId(rid)
+        raise MalformedRow(line, f"duplicate id {rid!r}")
     seen.add(rid)
     labels = None
     wa_label = None

@@ -11,7 +11,6 @@ from argscore.model.network import (
     backward,
     forward,
     init_parameters,
-    parameter_names,
     parameter_shapes,
 )
 from argscore.model.vocab import (
@@ -49,7 +48,6 @@ __all__ = [
     "forward",
     "init_parameters",
     "load_checkpoint",
-    "parameter_names",
     "parameter_shapes",
     "save_checkpoint",
     "tokenize",

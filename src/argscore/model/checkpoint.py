@@ -2,8 +2,9 @@
 
 - ``manifest.json``: ``format_version``, the ``ModelConfig`` and the sha256 of
   the vocabulary. It lists no tensors: their layout follows from the config.
-- ``params.bin``: every parameter tensor as little-endian float64 (``<f8``),
-  C order, concatenated in ``parameter_shapes(config)`` order.
+- ``params.bin``: ``ModelParameters.flat`` as little-endian float64 (``<f8``):
+  every parameter tensor, C order, concatenated in ``parameter_shapes(config)``
+  order.
 - ``vocab.txt``: one learned token per line.
 
 A save builds the checkpoint as the sibling directory ``<dir>.tmp`` (removing a
@@ -17,14 +18,13 @@ A load raises ``CheckpointError`` on an unreadable manifest, an unsupported
 format version, a config that ``jsonobj.from_json`` or ``ModelConfig`` rejects
 (a float ``num_layers``, say), a vocabulary whose hash differs from the
 manifest's or whose size differs from ``config.vocab_size``, and a
-``params.bin`` whose length is not the config's parameter count. The loaded
-tensors are views into one buffer.
+``params.bin`` whose length is not the config's parameter count. The file is
+read in one call into the ``flat`` vector of the loaded ``ModelParameters``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 from pathlib import Path
@@ -33,7 +33,7 @@ import numpy as np
 
 from argscore.jsonobj import from_json, to_json
 from argscore.model.config import ModelConfig
-from argscore.model.network import ModelParameters, parameter_shapes
+from argscore.model.network import ModelParameters, parameter_count, parameter_shapes
 from argscore.model.vocab import Vocabulary
 
 FORMAT_VERSION = 2
@@ -53,16 +53,13 @@ def save_checkpoint(
     directory = Path(directory)
     if directory.exists() and not (directory / "manifest.json").exists():
         raise CheckpointError(f"{directory} exists and is not a checkpoint")
-    shapes = parameter_shapes(config)
-    if {name: t.shape for name, t in params.tensors.items()} != shapes:
+    if params.shapes != parameter_shapes(config):
         raise CheckpointError("parameter names or shapes do not match the config")
     staging = directory.with_name(directory.name + ".tmp")
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    with (staging / "params.bin").open("wb") as fh:
-        for name in shapes:
-            np.ascontiguousarray(params[name], dtype=_DTYPE).tofile(fh)
+    params.flat.astype(_DTYPE, copy=False).tofile(staging / "params.bin")
     vocab.save(staging / "vocab.txt")
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -105,7 +102,7 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig
         )
 
     shapes = parameter_shapes(config)
-    expected = sum(math.prod(shape) for shape in shapes.values()) * _DTYPE.itemsize
+    expected = parameter_count(shapes) * _DTYPE.itemsize
     params_path = directory / "params.bin"
     try:
         size = params_path.stat().st_size
@@ -114,10 +111,4 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig
         flat = np.fromfile(params_path, dtype=_DTYPE).astype(np.float64, copy=False)
     except OSError as exc:
         raise CheckpointError(f"unreadable {params_path}: {exc}")
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        tensors[name] = flat[offset : offset + count].reshape(shape)
-        offset += count
-    return ModelParameters(tensors), config, vocab
+    return ModelParameters(flat, shapes), config, vocab

@@ -70,27 +70,37 @@ def gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
 
+_ADAM_BLOCK = 1 << 15  # elements: 256 KB per scratch array
+
+
 def adam_update(
     p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     lr: float, beta1: float, beta2: float, eps: float, bc1: float, bc2: float,
 ) -> None:
-    """In-place Adam step on flat float64 views; bc1/bc2 are the bias
+    """In-place Adam step on flat float64 vectors; bc1/bc2 are the bias
     corrections 1 - beta^t.
 
-    Computes ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` through two
-    scratch arrays, operation for operation, so the result is bitwise that
-    of the plain expression without its five full-size temporaries."""
-    a = np.multiply(g, 1.0 - beta1)
-    m *= beta1
-    m += a
-    b = np.multiply(g, 1.0 - beta2)
-    b *= g
-    v *= beta2
-    v += b
-    np.divide(m, bc1, out=a)
-    a *= lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
-    p -= a
+    Computes ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` operation for
+    operation, so the result is bitwise that of the plain expression, but
+    block by block through two scratch arrays of ``_ADAM_BLOCK`` elements
+    instead of its five full-size temporaries. A full-size scratch allocated
+    on every step raised the default-size benchmark's peak RSS by 8 to 16%."""
+    scratch = np.empty((2, min(p.size, _ADAM_BLOCK)))
+    for start in range(0, p.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        a, b = scratch[:, : pb.size]
+        np.multiply(gb, 1.0 - beta1, out=a)
+        mb *= beta1
+        mb += a
+        np.multiply(gb, 1.0 - beta2, out=b)
+        b *= gb
+        vb *= beta2
+        vb += b
+        np.divide(mb, bc1, out=a)
+        a *= lr
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        pb -= a

@@ -14,6 +14,7 @@ absolute positional embeddings and a GELU feed-forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,23 +31,32 @@ class ShapeMismatch(Exception):
     pass
 
 
-@dataclass
-class ModelParameters:
-    """Named tensor store; names are stable and iteration order is fixed."""
+class ModelParameters(dict):
+    """Every parameter tensor, by name, as a view of one float64 vector.
 
-    tensors: dict[str, np.ndarray]
+    ``flat`` holds the tensors back to back, C order, in the order of
+    ``shapes`` (that of ``parameter_shapes``), as a checkpoint's ``params.bin``
+    does. So a whole-model operation, such as an Adam step, is one operation
+    on ``flat``. ``zeros_like`` gives gradients the same layout."""
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        size = parameter_count(shapes)
+        if flat.shape != (size,):
+            raise ShapeMismatch(f"flat vector has shape {flat.shape}, the layout needs ({size},)")
+        offset = 0
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            self[name] = flat[offset : offset + count].reshape(shape)
+            offset += count
+        self.flat = flat
+        self.shapes = shapes
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters({k: v.copy() for k, v in self.tensors.items()})
+        return ModelParameters(self.flat.copy(), self.shapes)
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.tensors.values())
+    def zeros_like(self) -> "ModelParameters":
+        return ModelParameters(np.zeros_like(self.flat), self.shapes)
 
 
 @dataclass
@@ -93,23 +103,23 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_names(config: ModelConfig) -> list[str]:
-    return list(parameter_shapes(config))
+def parameter_count(shapes: dict[str, tuple[int, ...]]) -> int:
+    """Length of the flat vector that holds tensors of these shapes."""
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
 def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
     """Weights ~ N(0, 0.02), biases and layer-norm shifts zero, scales one.
     Draw order follows ``parameter_shapes`` so initialization is bit-stable."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    shapes = parameter_shapes(config)
+    params = ModelParameters(np.zeros(parameter_count(shapes)), shapes)
+    for name, tensor in params.items():
         if name.endswith(".gamma"):
-            tensors[name] = np.ones(shape)
-        elif name.endswith(".beta") or name.rsplit(".", 1)[1].startswith("b"):
-            tensors[name] = np.zeros(shape)
-        else:
-            tensors[name] = rng.normal(0.0, 0.02, size=shape)
-    return ModelParameters(tensors)
+            tensor[...] = 1.0
+        elif not name.rsplit(".", 1)[1].startswith("b"):  # not a bias or a beta
+            tensor[...] = rng.normal(0.0, 0.02, size=tensor.shape)
+    return params
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -273,9 +283,8 @@ def _check_inputs(config, seq1, seq2, mask1, mask2):
         raise ShapeMismatch("seq1 must contain at least one unmasked position")
 
 
-def _forward_internal(params, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed):
+def _forward_internal(p, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed):
     _check_inputs(config, seq1, seq2, mask1, mask2)
-    p = params.tensors
     rng = np.random.default_rng(rng_seed) if dropout_on else None
     enc1_out, c1 = _encoder_forward(p, "enc1", seq1, mask1, config, rng, dropout_on)
     cache: dict = {"c1": c1, "mask1": mask1}
@@ -336,22 +345,20 @@ def backward(
     target: np.ndarray,
     dropout_enabled: bool = False,
     rng_seed: int = 0,
-    grads: Optional[dict[str, np.ndarray]] = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+    grads: Optional[ModelParameters] = None,
+) -> tuple[float, ModelParameters]:
     """Loss (mean squared error over the three heads) and its exact gradient
     for every parameter tensor. Re-runs the forward pass internally, so the
     dropout seed must match the paired forward when dropout is enabled.
 
-    The gradient is added into ``grads``, a dict shaped like
-    ``params.zeros_like()``, which is returned; one accumulator can thus sum a
-    whole batch, and embedding rows no token of the example hits are left
-    untouched. Without ``grads`` a fresh zero dict is allocated."""
+    The gradient is added into ``grads``, which is returned; it defaults to a
+    fresh ``params.zeros_like()``. One accumulator can thus sum a whole batch,
+    and embedding rows no token of the example hits are left untouched."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (3,):
         raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
     trace, cache = _forward_internal(params, config, seq1, seq2, mask1, mask2,
                                      dropout_enabled, rng_seed)
-    p = params.tensors
     if grads is None:
         grads = params.zeros_like()
     diff = trace.outputs - target
@@ -363,7 +370,7 @@ def backward(
     for i, head in enumerate(HEAD_NAMES):
         grads[f"head.{head}.w"] += douts[i] * pooled
         grads[f"head.{head}.b"] += douts[i]
-        dpooled += douts[i] * p[f"head.{head}.w"]
+        dpooled += douts[i] * params[f"head.{head}.w"]
 
     mask1 = cache["mask1"]
     dfused = mask1[:, None] * (dpooled / cache["n_pool"])
@@ -371,8 +378,8 @@ def backward(
     denc1 = dfused.copy()
     if "cx" in cache:
         dcross = dfused * cache["dm_cross"] if "dm_cross" in cache else dfused
-        dxq, dxkv = _attention_backward(p, "cross", cache["cx"], dcross, grads)
+        dxq, dxkv = _attention_backward(params, "cross", cache["cx"], dcross, grads)
         denc1 += dxq
-        _encoder_backward(p, "enc2", config, cache["c2"], dxkv, grads)
-    _encoder_backward(p, "enc1", config, cache["c1"], denc1, grads)
+        _encoder_backward(params, "enc2", config, cache["c2"], dxkv, grads)
+    _encoder_backward(params, "enc1", config, cache["c1"], denc1, grads)
     return loss, grads

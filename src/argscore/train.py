@@ -97,35 +97,28 @@ def apply_masking(aug: AugmentationSet, gamma: float, rng: np.random.Generator) 
 
 class AdamOptimizer:
     def __init__(self, params: ModelParameters, tcfg: TrainConfig):
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
         self.beta1, self.beta2 = tcfg.adam_betas
         self.eps = tcfg.adam_eps
 
-    def step(self, params: ModelParameters, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, params: ModelParameters, grads: ModelParameters, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.tensors.items():
-            kernels.adam_update(
-                p.ravel(), np.ascontiguousarray(grads[name]).ravel(),
-                self.m[name].ravel(), self.v[name].ravel(),
-                lr, self.beta1, self.beta2, self.eps, bc1, bc2,
-            )
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for d in (self.m, self.v) for t in d.values())
+        kernels.adam_update(params.flat, grads.flat, self.m, self.v,
+                            lr, self.beta1, self.beta2, self.eps, bc1, bc2)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale gradients so the global L2 norm is at most max_norm; returns the
-    pre-clip norm."""
+def clip_gradients(grads: ModelParameters, max_norm: float) -> float:
+    """Scale the gradient in place so its global L2 norm is at most max_norm;
+    returns the pre-clip norm. The squares are summed tensor by tensor: a
+    single pass over ``grads.flat`` rounds differently, and ``argscore synth``
+    (seed 11) magnifies that into a failed acceptance check."""
     total = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -153,14 +146,16 @@ def train(
 
     Per visited example the similar-quality text is re-masked, the example is
     encoded and run with dropout, and its gradient is added by ``backward``
-    into the one accumulator allocated per batch; the batch sum is then
-    averaged, clipped, and applied. The learning rate decays linearly from
-    ``tcfg.learning_rate`` to zero over the run's
-    ``epochs * ceil(n_train / batch_size)`` steps. Divergence stops training
-    with ``NonFiniteLoss``: an example loss that is non-finite or above
-    ``LOSS_CEILING``, a non-finite pre-clip gradient norm, or a non-finite
-    parameter after an update. With no dev split (or zero epochs) the final
-    parameters are returned."""
+    into one accumulator, zeroed before each batch. The batch sum is then
+    averaged, clipped (``clip_gradients``) and applied by one Adam step, each
+    on the accumulator's ``flat`` vector. The run allocates its full-size
+    vectors (parameters, best parameters, gradients, Adam moments) once, none
+    per step. The learning rate decays linearly from ``tcfg.learning_rate`` to
+    zero over the run's ``epochs * ceil(n_train / batch_size)`` steps.
+    Divergence stops training with ``NonFiniteLoss``: an example loss that is
+    non-finite or above ``LOSS_CEILING``, a non-finite pre-clip gradient norm,
+    or a non-finite parameter after an update. With no dev split (or zero
+    epochs) the final parameters are returned."""
     train_recs = dataset.split("train")
     dev_recs = dataset.split("dev")
     if not train_recs:
@@ -180,9 +175,10 @@ def train(
     optimizer = AdamOptimizer(params, tcfg)
     state = TrainState()
     params = params.copy()
+    grads = params.zeros_like()
     dropout_on = config.dropout_rate > 0.0
 
-    best_params: Optional[ModelParameters] = None
+    best_params = params.zeros_like()
     best_score = -np.inf
     total_steps = tcfg.epochs * math.ceil(len(train_recs) / tcfg.batch_size)
 
@@ -198,7 +194,7 @@ def train(
         for start in range(0, len(perm), tcfg.batch_size):
             chunk = perm[start : start + tcfg.batch_size]
             lr = learning_rate_at(tcfg.learning_rate, state.step, total_steps)
-            grads = params.zeros_like()
+            grads.flat.fill(0.0)
             for j in chunk:
                 rec = train_recs[int(j)]
                 aug = apply_masking(augmentations.get(rec.id) or empty, tcfg.gamma, mask_rng)
@@ -215,14 +211,12 @@ def train(
                 if example_loss > LOSS_CEILING:
                     raise diverged("loss above ceiling", record_id=rec.id, loss=example_loss)
                 epoch_losses.append(example_loss)
-            inv = 1.0 / len(chunk)
-            for g in grads.values():
-                g *= inv
+            grads.flat *= 1.0 / len(chunk)
             grad_norm = clip_gradients(grads, tcfg.grad_clip_norm)
             if not math.isfinite(grad_norm):
                 raise diverged("non-finite gradient norm", grad_norm=grad_norm)
             optimizer.step(params, grads, lr)
-            if not params.all_finite():
+            if not np.isfinite(params.flat).all():
                 raise diverged("non-finite parameter")
             state.step += 1
         state.loss_history.append(float(np.mean(epoch_losses)))
@@ -234,12 +228,12 @@ def train(
             state.dev_spearman_history.append(dev_score)
             if dev_score > best_score:
                 best_score = dev_score
-                best_params = params.copy()
+                np.copyto(best_params.flat, params.flat)
                 state.best_epoch = epoch
 
-    if best_params is None:
-        best_params = params
-        state.best_epoch = state.epochs_run - 1 if state.epochs_run else -1
+    if state.best_epoch < 0:  # no dev split, or no epoch: the final parameters
+        state.best_epoch = state.epochs_run - 1
+        return params, state, optimizer
     return best_params, state, optimizer
 
 
@@ -300,14 +294,14 @@ def grad_check(
 
     _, analytic = backward(params, config, seq1, seq2, mask1, mask2, target)
     if corrupt_tensor is not None:
-        analytic[corrupt_tensor] = analytic[corrupt_tensor] * corrupt_scale
+        analytic[corrupt_tensor] *= corrupt_scale
 
     def loss_now() -> float:
         trace = forward(params, config, seq1, seq2, mask1, mask2)
         return float(np.mean((trace.outputs - target) ** 2))
 
     report: dict[str, float] = {}
-    for name, arr in params.tensors.items():
+    for name, arr in params.items():
         worst = 0.0
         flat = arr.ravel()
         grad_flat = analytic[name].ravel()

@@ -78,7 +78,7 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
 
     assert _contents(directory) == before
     loaded, _, _ = load_checkpoint(directory)
-    for name, tensor in params.tensors.items():
+    for name, tensor in params.items():
         assert (loaded[name] == tensor).all()
 
 

@@ -125,6 +125,22 @@ def test_malformed_json_input_exits_one(tmp_path, tiny_dataset, capsys, make_arg
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("augment", "--dataset"),
+    ("augment", "--provider"),
+    ("train", "--augmentations"),
+])
+def test_directory_as_input_file_exits_one(tmp_path, tiny_dataset, capsys, command, flag):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    inputs = {"--dataset": str(data), flag: str(tmp_path)}  # the directory replaces a file
+    argv = [command, "--out", str(tmp_path / "out")]
+    for option, value in inputs.items():
+        argv += [option, value]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):
     data = tmp_path / "tiny.jsonl"
     write_dataset(tiny_dataset, data)

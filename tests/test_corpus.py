@@ -46,8 +46,15 @@ class TestGaqCsv:
 
     def test_duplicate_id(self, tmp_path):
         rows = GAQ_HEADER + 'a1,qa,"T","A",3,3,3\na1,qa,"U","B",2,2,2\n'
-        with pytest.raises(DuplicateId):
-            load_dataset(write(tmp_path, "d.csv", rows))
+        path = write(tmp_path, "d.csv", rows)
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(path)
+        assert err.value.line == 3
+        assert "line 3" in str(err.value) and str(path) in str(err.value)
+        assert "duplicate id 'a1'" in str(err.value)
+        rec = ArgumentRecord(id="a1", topic="T", argument="A")
+        with pytest.raises(DuplicateId):  # an in-memory dataset has no line to name
+            Dataset(records=[rec, rec])
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,domain,topic,argument,cogency,effectiveness\n")

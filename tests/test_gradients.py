@@ -48,10 +48,10 @@ def test_head_bias_gradient_formula():
     config = small_config()
     params = init_parameters(config, seed=5)
     for head in ("cogency", "effectiveness", "reasonableness"):
-        params.tensors[f"head.{head}.w"][:] = 0.0
-    params.tensors["head.cogency.b"][:] = 0.25
-    params.tensors["head.effectiveness.b"][:] = -0.5
-    params.tensors["head.reasonableness.b"][:] = 0.0
+        params[f"head.{head}.w"][:] = 0.0
+    params["head.cogency.b"][:] = 0.25
+    params["head.effectiveness.b"][:] = -0.5
+    params["head.reasonableness.b"][:] = 0.0
     seq1, seq2, m1, m2 = random_example(config, 7)
     target = np.zeros(3)
     loss, grads = backward(params, config, seq1, seq2, m1, m2, target)
@@ -66,9 +66,9 @@ def test_gradient_store_aligned_with_parameters():
     params = init_parameters(config, seed=0)
     seq1, seq2, m1, m2 = random_example(config, 0)
     _, grads = backward(params, config, seq1, seq2, m1, m2, np.zeros(3))
-    assert set(grads) == set(params.tensors)
+    assert set(grads) == set(params)
     for name in grads:
-        assert grads[name].shape == params.tensors[name].shape
+        assert grads[name].shape == params[name].shape
 
 
 def test_backward_with_dropout_matches_seeded_forward():

@@ -1,6 +1,7 @@
 """The numpy kernels against their plain reference expressions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -72,3 +73,31 @@ def test_adam_update_bitwise_equals_one_line_expression():
         ref_p -= lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + eps)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v), t
         assert np.array_equal(p, ref_p), t
+
+
+def test_adam_update_scratch_is_smaller_than_one_vector():
+    n = 1 << 17
+    p, g, m, v = (np.full(n, x) for x in (1.0, 0.5, 0.1, 0.2))
+    tracemalloc.start()
+    try:
+        kernels.adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.nbytes
+
+
+def test_adam_update_blocks_equal_one_pass():
+    n = 2 * kernels._ADAM_BLOCK + 3  # two full blocks and a partial one
+    rng = np.random.default_rng(3)
+    p, g, m = rng.normal(size=(3, n))
+    v = rng.random(n)
+    ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    kernels.adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+    ref_m *= 0.9
+    ref_m += (1.0 - 0.9) * g
+    ref_v *= 0.999
+    ref_v += (1.0 - 0.999) * g * g
+    ref_p -= 1e-3 * (ref_m / 0.1) / (np.sqrt(ref_v / 0.001) + 1e-8)
+    assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+    assert np.array_equal(p, ref_p)

@@ -17,8 +17,8 @@ def test_deterministic_init_and_forward():
     config = small_config()
     a = init_parameters(config, seed=9)
     b = init_parameters(config, seed=9)
-    for name in a.tensors:
-        assert (a.tensors[name] == b.tensors[name]).all()
+    for name in a:
+        assert (a[name] == b[name]).all()
     seq1, seq2, m1, m2 = random_example(config, 0)
     out_a = forward(a, config, seq1, seq2, m1, m2).outputs
     out_b = forward(b, config, seq1, seq2, m1, m2).outputs
