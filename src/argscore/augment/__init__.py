@@ -140,24 +140,25 @@ def generate(
         else:
             prompt = render_prompt(kind, record)
         key = PromptCache.key(kind.value, prompt, provider.model_name, provider.temperature)
-        response = cache.get(key, prompt) if cache is not None else None
-        if response is None:
-            response = provider.complete(kind, prompt)
-            if cache is not None:
-                cache.put(
-                    key,
-                    kind.value,
-                    prompt,
-                    response,
-                    provider.model_name,
-                    provider.temperature,
-                    provider.timestamp(),
-                )
+        cached = cache.get(key, prompt) if cache is not None else None
+        response = cached if cached is not None else provider.complete(kind, prompt)
+        # one timestamp, so a new cache entry and its metadata record the same time
+        timestamp = provider.timestamp()
+        if cache is not None and cached is None:
+            cache.put(
+                key,
+                kind.value,
+                prompt,
+                response,
+                provider.model_name,
+                provider.temperature,
+                timestamp,
+            )
         texts[kind.value] = response
         metadata[kind.value] = GenerationMetadata(
             provider=provider.name,
             model=provider.model_name,
-            timestamp=provider.timestamp(),
+            timestamp=timestamp,
             prompt_hash=key,
         )
     return AugmentationSet(metadata=metadata, **texts)

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -211,21 +211,25 @@ def cmd_evaluate(args) -> int:
 
     row = evaluation.evaluate(params, config, vocab, dataset, augmentations,
                               args.split, active)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text, csv_text = evaluation.ablation_table([row])
-    (out_dir / "report.csv").write_text(csv_text, encoding="utf-8", newline="")
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    print(_write_report(Path(cfg.out_dir), [row]), end="")
     return 0
 
 
+def _write_report(out_dir: Path, rows) -> str:
+    """Write the ablation table of ``rows`` to ``report.csv`` and
+    ``report.txt`` in ``out_dir``; return the text table."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text, csv_text = evaluation.ablation_table(rows)
+    (out_dir / "report.csv").write_text(csv_text, encoding="utf-8", newline="")
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    return text
+
+
 def cmd_gradcheck(args) -> int:
-    config = ModelConfig(
-        vocab_size=32, max_seq_len=args.seq_len, model_dim=args.dim,
-        num_layers=args.layers, num_heads=args.heads, ffn_dim=4 * args.dim,
-        num_cross_heads=args.heads, mode="dual", dropout_rate=0.0,
-    )
+    sizes = {"max_seq_len": args.seq_len, "model_dim": args.dim, "num_layers": args.layers,
+             "num_heads": args.heads, "num_cross_heads": args.heads}
+    config = replace(train_mod.default_gradcheck_config(),
+                     **{name: value for name, value in sizes.items() if value is not None})
     report = train_mod.grad_check(config, eps=args.eps, tolerance=args.tol, seed=args.seed or 0)
     width = max(len(n) for n in report.max_rel_errors)
     for name, err in sorted(report.max_rel_errors.items(), key=lambda kv: -kv[1]):
@@ -244,30 +248,24 @@ def cmd_synth(args) -> int:
     if args.test_size is not None:
         settings.n_test = args.test_size
     if args.epochs is not None:
-        settings.epochs = args.epochs
+        settings.train = replace(settings.train, epochs=args.epochs)
     seed = args.seed if args.seed is not None else 11
     out_dir = Path(args.out or "out")
 
     if args.dry_run:
         print(f"planned: corpus seed={seed} "
               f"({settings.n_train} train / {settings.n_dev} dev / {settings.n_test} test)")
-        for label, mode, augs in (("dual_all", "dual", "all"), ("dual_none", "dual", "none"),
-                                  ("single_all", "single", "all")):
-            print(f"planned: train+evaluate {label} (mode={mode}, augs={augs}, "
-                  f"epochs={settings.epochs})")
+        for label, mode, kinds in synth.RUNS:
+            print(f"planned: train+evaluate {label} (mode={mode}, "
+                  f"augs={evaluation.augs_label(kinds)}, epochs={settings.train.epochs})")
         return 0
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = synth.run_experiment(seed, out_dir=out_dir, settings=settings)
-
-    rows = [result.dual_all.row, result.dual_none.row, result.single_all.row]
-    text, csv_text = evaluation.ablation_table(rows)
-    (out_dir / "report.csv").write_text(csv_text, encoding="utf-8", newline="")
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    text = _write_report(out_dir, list(result.rows.values()))
     if args.verbose:
         print(text, end="")
-    for run in (result.dual_all, result.dual_none, result.single_all):
-        print(f"{run.label}: mean_spearman={run.mean_spearman:.4f}")
+    for label, row in result.rows.items():
+        print(f"{label}: mean_spearman={row.mean_spearman():.4f}")
     for check, ok in result.checks.items():
         print(f"{'PASS' if ok else 'FAIL'}: {check}")
     return 0 if result.passed else 2
@@ -315,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="compare analytic gradients to finite differences")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--seq-len", dest="seq_len", type=int, default=8)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--heads", type=int, default=2)
+    # each size defaults to that of train.default_gradcheck_config()
+    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--seq-len", dest="seq_len", type=int, default=None)
+    p.add_argument("--layers", type=int, default=None)
+    p.add_argument("--heads", type=int, default=None, help="self- and cross-attention heads")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

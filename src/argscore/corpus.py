@@ -94,10 +94,6 @@ class QualityScores:
             if not (SCORE_MIN <= value <= SCORE_MAX):
                 raise OutOfRange(f"score {value} outside [{SCORE_MIN}, {SCORE_MAX}]")
 
-    def wa(self) -> float:
-        """Overall quality: the arithmetic mean of the three scores."""
-        return (self.cogency + self.effectiveness + self.reasonableness) / 3.0
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.cogency, self.effectiveness, self.reasonableness)
 

@@ -1,8 +1,9 @@
-"""Named RNG streams derived from one root seed.
+"""Named RNG streams and derived seeds from one root seed.
 
-Each consumer (shuffling, masking, dropout, mock generation, corpus
-synthesis) gets its own stream so toggling one cannot shift the draws of
-another."""
+Shuffling, masking and synthetic-corpus generation each get their own named
+stream, so toggling one cannot shift the draws of another. Other consumers
+(initialisation, dropout, split assignment, synth runs) take a scalar seed
+from ``derive_seed`` under their own integer keys."""
 
 from __future__ import annotations
 
@@ -11,13 +12,9 @@ import numpy as np
 _MASK = (1 << 63) - 1
 
 STREAM_IDS = {
-    "init": 0,
     "shuffle": 1,
     "masking": 2,
-    "dropout": 3,
-    "mock": 4,
     "synth": 5,
-    "split": 6,
 }
 
 

@@ -9,13 +9,16 @@ ignores the context cannot beat chance, while a model that reads it can
 recover the labels almost exactly. The argument nearly fills the first
 sequence, so in single mode almost the whole context is truncated away.
 
-Three trainings are compared on the held-out test split: dual mode with all
-context kinds, dual mode with none, and single mode with all kinds.
+The trainings compared on the held-out test split are the entries of
+``RUNS``: dual mode with all context kinds, dual mode with none, and single
+mode with all kinds. A run is added there. A run's position in ``RUNS`` keys
+its training and initialisation seeds, so appending a run leaves the others'
+results unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -60,38 +63,36 @@ TOPIC_LEN = 4
 ARGUMENT_LEN = 51
 
 
+# (label, mode, active kinds)
+RUNS = (
+    ("dual_all", "dual", frozenset(KIND_ORDER)),
+    ("dual_none", "dual", frozenset()),
+    ("single_all", "single", frozenset(KIND_ORDER)),
+)
+
+
 @dataclass
 class SynthSettings:
+    """Corpus sizes, the ``ModelConfig`` fields other than ``vocab_size`` and
+    ``mode`` (which each run sets), and the ``TrainConfig`` shared by every run
+    (each run sets ``rng_seed`` and ``active_kinds``)."""
+
     n_train: int = 400
     n_dev: int = 60
     n_test: int = 100
-    max_seq_len: int = 64
-    model_dim: int = 32
-    num_layers: int = 1
-    num_heads: int = 4
-    ffn_dim: int = 128
-    dropout_rate: float = 0.1
-    epochs: int = 40
-    batch_size: int = 8
-    learning_rate: float = 3e-3
-    gamma: float = 0.5
-
-
-@dataclass
-class SynthRun:
-    label: str
-    mode: str
-    augs: str
-    mean_spearman: float
-    row: EvalRow
+    model: dict = field(default_factory=lambda: dict(
+        max_seq_len=64, model_dim=32, num_layers=1, num_heads=4, ffn_dim=128,
+        num_cross_heads=4, dropout_rate=0.1,
+    ))
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(
+        gamma=0.5, batch_size=8, learning_rate=3e-3, epochs=40,
+    ))
 
 
 @dataclass
 class SynthResult:
     seed: int
-    dual_all: SynthRun
-    dual_none: SynthRun
-    single_all: SynthRun
+    rows: dict[str, EvalRow]  # test rows by run label, in RUNS order
     checks: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -182,32 +183,19 @@ def run_experiment(
 
     vocab = build_vocab(vocab_texts(dataset, augmentations), max_size=2000)
 
-    def run(label: str, run_index: int, mode: str, kinds) -> SynthRun:
-        config = ModelConfig(
-            vocab_size=len(vocab), max_seq_len=s.max_seq_len, model_dim=s.model_dim,
-            num_layers=s.num_layers, num_heads=s.num_heads, ffn_dim=s.ffn_dim,
-            num_cross_heads=s.num_heads, mode=mode, dropout_rate=s.dropout_rate,
-        )
-        tcfg = TrainConfig(
-            gamma=s.gamma, batch_size=s.batch_size, learning_rate=s.learning_rate,
-            epochs=s.epochs, rng_seed=derive_seed(seed, 20, run_index),
-            active_kinds=frozenset(kinds),
-        )
-        params = init_parameters(config, derive_seed(seed, 21, run_index))
-        best, state, _ = train(params, config, tcfg, dataset, augmentations, vocab)
-        row = evaluate(best, config, vocab, dataset, augmentations, "test", kinds)
-        return SynthRun(label=label, mode=mode, augs=row.augs,
-                        mean_spearman=row.mean_spearman(), row=row)
+    rows = {}
+    for index, (label, mode, kinds) in enumerate(RUNS):
+        config = ModelConfig(vocab_size=len(vocab), mode=mode, **s.model)
+        tcfg = replace(s.train, rng_seed=derive_seed(seed, 20, index), active_kinds=kinds)
+        params = init_parameters(config, derive_seed(seed, 21, index))
+        best, _, _ = train(params, config, tcfg, dataset, augmentations, vocab)
+        rows[label] = evaluate(best, config, vocab, dataset, augmentations, "test", kinds)
 
-    dual_all = run("dual_all", 0, "dual", set(KIND_ORDER))
-    dual_none = run("dual_none", 1, "dual", set())
-    single_all = run("single_all", 2, "single", set(KIND_ORDER))
-
+    mean = {label: row.mean_spearman() for label, row in rows.items()}
     checks = {
-        f"dual+augs >= {DUAL_ALL_MIN}": dual_all.mean_spearman >= DUAL_ALL_MIN,
-        f"dual-augs <= {DUAL_NONE_MAX}": dual_none.mean_spearman <= DUAL_NONE_MAX,
+        f"dual+augs >= {DUAL_ALL_MIN}": mean["dual_all"] >= DUAL_ALL_MIN,
+        f"dual-augs <= {DUAL_NONE_MAX}": mean["dual_none"] <= DUAL_NONE_MAX,
         f"dual+augs - single+augs >= {DUAL_MINUS_SINGLE_MIN}":
-            dual_all.mean_spearman - single_all.mean_spearman >= DUAL_MINUS_SINGLE_MIN,
+            mean["dual_all"] - mean["single_all"] >= DUAL_MINUS_SINGLE_MIN,
     }
-    return SynthResult(seed=seed, dual_all=dual_all, dual_none=dual_none,
-                       single_all=single_all, checks=checks)
+    return SynthResult(seed=seed, rows=rows, checks=checks)

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from argscore import cli
+from argscore import cli, train
 from argscore.corpus import write_dataset
 from argscore.model import init_parameters, save_checkpoint
 from tests.conftest import small_config
@@ -164,3 +164,15 @@ def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):
                      "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     assert len(report) == 2  # header and one row
+
+
+def test_gradcheck_without_flags_checks_the_default_config(monkeypatch):
+    checked = []
+
+    def fake_grad_check(config, eps, tolerance, seed):
+        checked.append(config)
+        return train.GradCheckReport({"enc1.tok_emb": 0.0}, tolerance)
+
+    monkeypatch.setattr(train, "grad_check", fake_grad_check)
+    assert cli.main(["gradcheck"]) == 0
+    assert checked == [train.default_gradcheck_config()]

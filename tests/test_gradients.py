@@ -1,5 +1,7 @@
 """Analytic gradients against the central finite-difference oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from tests.conftest import random_example, small_config
 
 def test_grad_check_passes_default_small_config():
     report = grad_check(eps=1e-4, tolerance=1e-4, seed=0)
+    assert report.passed, f"worst: {report.worst}"
+
+
+def test_grad_check_passes_two_layers():
+    report = grad_check(replace(default_gradcheck_config(), num_layers=2))
     assert report.passed, f"worst: {report.worst}"
 
 

@@ -133,6 +133,20 @@ class TestGenerate:
         assert meta.timestamp == EPOCH_TIMESTAMP
         assert len(meta.prompt_hash) == 64
 
+    def test_cache_entry_and_metadata_share_one_timestamp(self, tmp_path):
+        class CountingClock(MockProvider):
+            ticks = 0
+
+            def timestamp(self):
+                self.ticks += 1
+                return str(self.ticks)
+
+        cache = PromptCache(tmp_path)
+        result = generate(make_record(), {AugmentationKind.FEEDBACK}, CountingClock(), cache=cache)
+        meta = result.metadata["feedback"]
+        entry = json.loads(cache.path_for(meta.prompt_hash).read_text(encoding="utf-8"))
+        assert entry["created_at"] == meta.timestamp
+
     def test_provider_failure_leaves_cache_untouched(self, tmp_path):
         cache = PromptCache(tmp_path)
         with pytest.raises(ProviderError):
