@@ -125,8 +125,8 @@ def generate(
 
     For every requested kind the prompt is rendered, looked up in the cache by
     content hash, and only on a miss sent to the provider; the response is
-    persisted before returning. Provider failures propagate and leave the
-    cache untouched.
+    persisted before returning. A hit's metadata carries the time its entry
+    was written. Provider failures propagate and leave the cache untouched.
     """
     requested = set(kinds)
     texts: dict[str, str] = {}
@@ -140,20 +140,16 @@ def generate(
         else:
             prompt = render_prompt(kind, record)
         key = PromptCache.key(kind.value, prompt, provider.model_name, provider.temperature)
-        cached = cache.get(key, prompt) if cache is not None else None
-        response = cached if cached is not None else provider.complete(kind, prompt)
-        # one timestamp, so a new cache entry and its metadata record the same time
-        timestamp = provider.timestamp()
-        if cache is not None and cached is None:
-            cache.put(
-                key,
-                kind.value,
-                prompt,
-                response,
-                provider.model_name,
-                provider.temperature,
-                timestamp,
-            )
+        hit = cache.get(key, prompt) if cache is not None else None
+        if hit is not None:
+            response, timestamp = hit  # stamped when the entry was written
+        else:
+            response = provider.complete(kind, prompt)
+            # one timestamp, so a new cache entry and its metadata record the same time
+            timestamp = provider.timestamp()
+            if cache is not None:
+                cache.put(key, kind.value, prompt, response, provider.model_name,
+                          provider.temperature, timestamp)
         texts[kind.value] = response
         metadata[kind.value] = GenerationMetadata(
             provider=provider.name,

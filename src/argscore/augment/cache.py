@@ -33,7 +33,8 @@ class PromptCache:
     def path_for(self, key: str) -> Path:
         return self.directory / key
 
-    def get(self, key: str, prompt: str) -> str | None:
+    def get(self, key: str, prompt: str) -> tuple[str, str] | None:
+        """The stored response and its ``created_at``, or None on a miss."""
         path = self.path_for(key)
         if not path.exists():
             return None
@@ -41,12 +42,14 @@ class PromptCache:
             entry = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CacheCorrupt(path, str(exc))
-        if not (isinstance(entry, dict)
-                and all(isinstance(entry.get(k), str) for k in ("prompt", "response"))):
-            raise CacheCorrupt(path, "not an object with a string prompt and response")
+        fields = ("prompt", "response", "created_at")
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in fields)):
+            raise CacheCorrupt(path, "not an object with a string prompt, response and created_at")
         if entry["prompt"] != prompt:
             raise CacheCorrupt(path, "stored prompt does not match key")
-        return entry["response"]
+        if not entry["response"].strip():
+            raise CacheCorrupt(path, "stored response is blank")
+        return entry["response"], entry["created_at"]
 
     def put(
         self,

@@ -1,19 +1,25 @@
 """Completion providers: a chat-completions HTTP client, a seeded offline mock,
-and a canned lookup provider for tests and synthetic pipelines."""
+and a canned lookup provider for tests and synthetic pipelines.
+
+The HTTP client uses only the standard library (``urllib.request``). Each
+request opens its own connection, HTTPS certificates are checked against the
+system trust store (the ``ssl`` default context), and the proxy environment
+variables are honoured."""
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import random
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
 
 from argscore.augment.prompts import NO_ASSUMPTIONS, AugmentationKind
 from argscore.jsonobj import from_json
@@ -58,19 +64,20 @@ class ProviderConfig:
 
 
 class HttpProvider:
-    """POSTs one user message per prompt to ``{base_url}/chat/completions``.
+    """POSTs one user message per prompt to ``{base_url}/chat/completions``
+    through ``urllib.request``, one connection per request.
 
     Transient failures (timeouts, connection errors, 429, 5xx) are retried
-    twice with exponential backoff starting at one second.
+    twice with exponential backoff starting at one second. A reply whose
+    content is not a non-blank string raises ``ProviderError``.
     """
 
     name = "http"
     MAX_ATTEMPTS = 3
     BACKOFF_START = 1.0
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: ProviderConfig):
         self.config = config
-        self.session = session or requests.Session()
         self.requests_made = 0
         self._lock = threading.Lock()
 
@@ -91,12 +98,13 @@ class HttpProvider:
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        body = {
+        body = json.dumps({
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
-        }
+        }).encode("utf-8")
+        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         backoff = self.BACKOFF_START
         last_exc: Exception | None = None
         for attempt in range(self.MAX_ATTEMPTS):
@@ -106,26 +114,38 @@ class HttpProvider:
             with self._lock:
                 self.requests_made += 1
             try:
-                response = self.session.post(
-                    url, json=body, headers=headers, timeout=self.config.request_timeout
-                )
-            except requests.Timeout:
-                last_exc = ProviderTimeout(f"request timed out after {self.config.request_timeout}s")
+                status, text = self._send(request)
+            except (OSError, http.client.HTTPException) as exc:
+                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+                if isinstance(reason, TimeoutError):
+                    last_exc = ProviderTimeout(
+                        f"request timed out after {self.config.request_timeout}s")
+                else:
+                    last_exc = ProviderError(0, f"connection error: {exc}")
                 continue
-            except requests.ConnectionError as exc:
-                last_exc = ProviderError(0, f"connection error: {exc}")
+            if status == 429 or status >= 500:
+                last_exc = ProviderError(status, text)
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_exc = ProviderError(response.status_code, response.text)
-                continue
-            if response.status_code != 200:
-                raise ProviderError(response.status_code, response.text)
+            if status != 200:
+                raise ProviderError(status, text)
             try:
-                return response.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as exc:
-                raise ProviderError(response.status_code, f"unparseable body: {exc}")
+                content = json.loads(text)["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ProviderError(status, f"unparseable body: {exc}")
+            if not isinstance(content, str) or not content.strip():
+                raise ProviderError(status, f"content is not a non-blank string: {content!r}")
+            return content
         assert last_exc is not None
         raise last_exc
+
+    def _send(self, request: urllib.request.Request) -> tuple[int, str]:
+        """Status and body text of one request; an HTTP error status is a reply too."""
+        try:
+            with urllib.request.urlopen(request, timeout=self.config.request_timeout) as response:
+                return response.status, response.read().decode("utf-8", "replace")
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read().decode("utf-8", "replace")
 
 
 _FEEDBACK_PHRASES = [

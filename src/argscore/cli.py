@@ -32,7 +32,6 @@ from argscore.jsonobj import check, from_json, to_json
 from argscore.model import (
     CheckpointError,
     ModelConfig,
-    Vocabulary,
     build_vocab,
     init_parameters,
     load_checkpoint,
@@ -188,15 +187,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     params, config, vocab = load_checkpoint(args.checkpoint)
-    if args.vocab:
-        external = Vocabulary.load(args.vocab)
-        if external.sha256() != vocab.sha256():
-            print(
-                "error: vocab hash mismatch: "
-                f"--vocab {external.sha256()} vs checkpoint {vocab.sha256()}",
-                file=sys.stderr,
-            )
-            return 1
     if not cfg.dataset:
         print("error: no dataset given (use --dataset or --config)", file=sys.stderr)
         return 1
@@ -308,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test",
                    help="train|dev|test, or 'all' to use every record")
     p.add_argument("--augs", default="all", help="all|none|comma-separated subset")
-    p.add_argument("--vocab", default=None, help="optional external vocabulary file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", parents=[common],

@@ -6,7 +6,9 @@ token states, keys and values from the second's) is added residually onto the
 first encoder's states; the result is mean-pooled over unmasked positions and
 fed to three affine heads, one per quality metric. When the context sequence
 is fully masked the cross-attention term is exactly zero and the model reduces
-to the first encoder alone.
+to the first encoder alone. Single mode is that first encoder alone: it has
+no context encoder or cross-attention, and its context sequence must be
+fully masked.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -74,13 +76,15 @@ class ForwardTrace:
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor, in the one fixed order that
-    initialisation draws in and checkpoints store."""
+    initialisation draws in and checkpoints store. Single mode never reads
+    the context encoder, so it has no ``enc2.*`` or ``cross.*`` tensors."""
     d = config.model_dim
     f = config.ffn_dim
     attention = {"wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
                  "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,)}
     shapes: dict[str, tuple[int, ...]] = {}
-    for enc in ("enc1", "enc2"):
+    dual = config.mode == "dual"
+    for enc in ("enc1", "enc2") if dual else ("enc1",):
         shapes[f"{enc}.tok_emb"] = (config.vocab_size, d)
         shapes[f"{enc}.pos_emb"] = (config.max_seq_len, d)
         for layer in range(config.num_layers):
@@ -96,7 +100,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{base}.ffn.b2"] = (d,)
         shapes[f"{enc}.final_ln.gamma"] = (d,)
         shapes[f"{enc}.final_ln.beta"] = (d,)
-    shapes.update({f"cross.{w}": s for w, s in attention.items()})
+    if dual:
+        shapes.update({f"cross.{w}": s for w, s in attention.items()})
     for head in HEAD_NAMES:
         shapes[f"head.{head}.w"] = (d,)
         shapes[f"head.{head}.b"] = (1,)
@@ -281,6 +286,8 @@ def _check_inputs(config, seq1, seq2, mask1, mask2):
             )
     if mask1.sum() < 1:
         raise ShapeMismatch("seq1 must contain at least one unmasked position")
+    if config.mode == "single" and mask2.sum() > 0:
+        raise ShapeMismatch("seq2 must be fully masked in single mode")
 
 
 def _forward_internal(p, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed):

@@ -268,14 +268,9 @@ def grad_check(
     eps: float = 1e-4,
     tolerance: float = 1e-4,
     seed: int = 0,
-    corrupt_tensor: Optional[str] = None,
-    corrupt_scale: float = 1.1,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences on a
-    random small-model example (dropout off, float64 throughout).
-
-    ``corrupt_tensor`` deliberately scales one analytic gradient tensor, for
-    verifying that the report localizes faults."""
+    random small-model example (dropout off, float64 throughout)."""
     from argscore.model import init_parameters
 
     config = config or default_gradcheck_config()
@@ -293,8 +288,6 @@ def grad_check(
     target = rng.random(3)
 
     _, analytic = backward(params, config, seq1, seq2, mask1, mask2, target)
-    if corrupt_tensor is not None:
-        analytic[corrupt_tensor] *= corrupt_scale
 
     def loss_now() -> float:
         trace = forward(params, config, seq1, seq2, mask1, mask2)

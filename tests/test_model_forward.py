@@ -8,6 +8,7 @@ from argscore.model import (
     ShapeMismatch,
     forward,
     init_parameters,
+    parameter_shapes,
 )
 from argscore.model import kernels
 from tests.conftest import random_example, small_config
@@ -50,6 +51,17 @@ def test_all_pad_seq2_equals_cross_bypass():
     no_seq2 = forward(params, config, seq1, np.zeros(0, dtype=np.int64), m1, np.zeros(0))
     assert (with_ctx.outputs == no_seq2.outputs).all()
     assert with_ctx.cross_attn is None and with_ctx.enc2_states is None
+
+
+def test_single_mode_has_no_context_tensors_and_rejects_context():
+    config = small_config(mode="single")
+    assert not [n for n in parameter_shapes(config) if n.startswith(("enc2.", "cross."))]
+    params = init_parameters(config, seed=2)
+    seq1, seq2, m1, m2 = random_example(config, 5)
+    trace = forward(params, config, seq1, seq2, m1, np.zeros_like(m2))
+    assert trace.cross_attn is None and trace.enc2_states is None
+    with pytest.raises(ShapeMismatch):
+        forward(params, config, seq1, seq2, m1, m2)
 
 
 def test_mean_pool_of_identical_rows():

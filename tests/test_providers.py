@@ -1,6 +1,9 @@
 """Providers, cache behavior, and the generation pipeline."""
 
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -15,6 +18,7 @@ from argscore.augment import (
     PromptCache,
     ProviderConfig,
     ProviderError,
+    ProviderTimeout,
     generate,
     read_augmentations,
     render_prompt,
@@ -69,7 +73,7 @@ class TestCache:
         key = PromptCache.key("feedback", "prompt text", "mock", 0.0)
         assert cache.get(key, "prompt text") is None
         cache.put(key, "feedback", "prompt text", "response", "mock", 0.0, EPOCH_TIMESTAMP)
-        assert cache.get(key, "prompt text") == "response"
+        assert cache.get(key, "prompt text") == ("response", EPOCH_TIMESTAMP)
         entry = json.loads((tmp_path / key).read_text())
         assert set(entry) == {"kind", "prompt", "response", "model", "temperature", "created_at"}
 
@@ -89,7 +93,9 @@ class TestCache:
 
     @pytest.mark.parametrize("entry", ['"a prompt and a response"', '["prompt", "response"]', "5",
                                        '{"prompt": "p", "response": 5}',
-                                       '{"prompt": 5, "response": "r"}'])
+                                       '{"prompt": 5, "response": "r"}',
+                                       '{"prompt": "p", "response": "r"}',
+                                       '{"prompt": "p", "response": " ", "created_at": "t"}'])
     def test_wrongly_shaped_entry_is_corrupt(self, tmp_path, entry):
         record = make_record()
         prompt = render_prompt(AugmentationKind.FEEDBACK, record)
@@ -141,11 +147,15 @@ class TestGenerate:
                 self.ticks += 1
                 return str(self.ticks)
 
-        cache = PromptCache(tmp_path)
-        result = generate(make_record(), {AugmentationKind.FEEDBACK}, CountingClock(), cache=cache)
+        cache, provider = PromptCache(tmp_path), CountingClock()
+        result = generate(make_record(), {AugmentationKind.FEEDBACK}, provider, cache=cache)
         meta = result.metadata["feedback"]
         entry = json.loads(cache.path_for(meta.prompt_hash).read_text(encoding="utf-8"))
         assert entry["created_at"] == meta.timestamp
+        # a hit reports when its entry was written, not when it was looked up
+        again = generate(make_record(), {AugmentationKind.FEEDBACK}, provider, cache=cache)
+        assert provider.requests_made == 1
+        assert again.metadata["feedback"].timestamp == entry["created_at"]
 
     def test_provider_failure_leaves_cache_untouched(self, tmp_path):
         cache = PromptCache(tmp_path)
@@ -154,45 +164,76 @@ class TestGenerate:
         assert len(cache) == 0
 
 
-class _FakeResponse:
-    def __init__(self, status, body=None, text=""):
-        self.status_code = status
-        self._body = body
-        self.text = text
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Records each POST, then answers with the server's next scripted
+    ``(status, body, delay)``; a body that is not a string is sent as JSON."""
 
-    def json(self):
-        return self._body
+    def do_POST(self):
+        data = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append({
+            "path": self.path,
+            "headers": {k.lower(): v for k, v in self.headers.items()},
+            "json": json.loads(data),
+        })
+        status, body, delay = self.server.replies.pop(0)
+        # not time.sleep: tests patch it out of the shared time module
+        threading.Event().wait(delay)
+        payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except ConnectionError:  # the client timed out and hung up
+            pass
+
+    def log_message(self, *args):
+        pass
 
 
-class _FakeSession:
-    """Scripted responses, recorded calls; no real network."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        action = self.script.pop(0)
-        if isinstance(action, Exception):
-            raise action
-        return action
+def _ok(content, delay=0.0):
+    return 200, {"choices": [{"message": {"content": content}}]}, delay
 
 
 class TestHttpProvider:
-    CONFIG = ProviderConfig(base_url="http://fake.local/v1", model_name="test-model",
-                            temperature=0.7, max_tokens=64, request_timeout=5.0)
+    """``HttpProvider`` against a real HTTP server on 127.0.0.1."""
 
-    def _ok(self, content):
-        return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+    @pytest.fixture(autouse=True)
+    def loopback_only(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")  # never route loopback through a proxy
+        monkeypatch.delenv("ARGSCORE_API_KEY", raising=False)
 
-    def test_wire_shape_and_response_parse(self):
-        session = _FakeSession([self._ok("- fine")])
-        provider = HttpProvider(self.CONFIG, session=session)
-        out = provider.complete(AugmentationKind.FEEDBACK, "the prompt")
+    @pytest.fixture
+    def server(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server.replies, server.received = [], []
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @pytest.fixture
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr("argscore.augment.providers.time.sleep", lambda s: None)
+
+    @staticmethod
+    def _provider(port, timeout=5.0):
+        return HttpProvider(ProviderConfig(
+            base_url=f"http://127.0.0.1:{port}/v1", model_name="test-model",
+            temperature=0.7, max_tokens=64, request_timeout=timeout))
+
+    def test_wire_shape_and_response_parse(self, server):
+        server.replies = [_ok("- fine")]
+        out = self._provider(server.server_port).complete(AugmentationKind.FEEDBACK, "the prompt")
         assert out == "- fine"
-        call = session.calls[0]
-        assert call["url"] == "http://fake.local/v1/chat/completions"
+        (call,) = server.received
+        assert call["path"] == "/v1/chat/completions"
+        assert call["headers"]["content-type"] == "application/json"
+        assert "authorization" not in call["headers"]
         assert call["json"] == {
             "model": "test-model",
             "messages": [{"role": "user", "content": "the prompt"}],
@@ -200,47 +241,72 @@ class TestHttpProvider:
             "max_tokens": 64,
         }
 
-    def test_http_500_retries_then_raises(self, monkeypatch):
-        monkeypatch.setattr("argscore.augment.providers.time.sleep", lambda s: None)
-        session = _FakeSession([_FakeResponse(500, text="boom")] * 3)
-        provider = HttpProvider(self.CONFIG, session=session)
+    def test_http_500_retries_then_raises(self, server, no_backoff):
+        server.replies = [(500, "boom", 0.0)] * 3
+        provider = self._provider(server.server_port)
         with pytest.raises(ProviderError) as err:
             provider.complete(AugmentationKind.FEEDBACK, "p")
-        assert err.value.status == 500
-        assert len(session.calls) == 3
+        assert err.value.status == 500 and err.value.body == "boom"
+        assert len(server.received) == provider.requests_made == 3
 
-    def test_client_error_no_retry(self):
-        session = _FakeSession([_FakeResponse(400, text="bad request")])
-        provider = HttpProvider(self.CONFIG, session=session)
+    def test_client_error_no_retry(self, server, no_backoff):
+        server.replies = [(400, "bad request", 0.0)]
+        with pytest.raises(ProviderError) as err:
+            self._provider(server.server_port).complete(AugmentationKind.FEEDBACK, "p")
+        assert err.value.status == 400 and err.value.body == "bad request"
+        assert len(server.received) == 1
+
+    def test_recovers_after_transient_failure(self, server, no_backoff):
+        server.replies = [(503, "busy", 0.0), _ok("ok")]
+        assert self._provider(server.server_port).complete(AugmentationKind.FEEDBACK, "p") == "ok"
+        assert len(server.received) == 2
+
+    def test_timeout_retries_then_raises(self, server, no_backoff):
+        server.replies = [_ok("late", delay=0.3)] * 3
+        provider = self._provider(server.server_port, timeout=0.1)
+        with pytest.raises(ProviderTimeout):
+            provider.complete(AugmentationKind.FEEDBACK, "p")
+        assert provider.requests_made == 3
+
+    def test_refused_connection_is_status_zero(self, no_backoff):
+        with socket.socket() as sock:  # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        provider = self._provider(port)
         with pytest.raises(ProviderError) as err:
             provider.complete(AugmentationKind.FEEDBACK, "p")
-        assert err.value.status == 400
-        assert len(session.calls) == 1
+        assert err.value.status == 0 and "connection error" in str(err.value)
+        assert provider.requests_made == 3
 
-    def test_recovers_after_transient_failure(self, monkeypatch):
-        monkeypatch.setattr("argscore.augment.providers.time.sleep", lambda s: None)
-        session = _FakeSession([_FakeResponse(503, text="busy"), self._ok("ok")])
-        provider = HttpProvider(self.CONFIG, session=session)
-        assert provider.complete(AugmentationKind.FEEDBACK, "p") == "ok"
-
-    def test_api_key_header(self, monkeypatch):
+    def test_api_key_header(self, server, monkeypatch):
         monkeypatch.setenv("ARGSCORE_API_KEY", "secret-key")
-        session = _FakeSession([self._ok("x")])
-        HttpProvider(self.CONFIG, session=session).complete(AugmentationKind.FEEDBACK, "p")
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer secret-key"
+        server.replies = [_ok("x")]
+        self._provider(server.server_port).complete(AugmentationKind.FEEDBACK, "p")
+        assert server.received[0]["headers"]["authorization"] == "Bearer secret-key"
 
-    def test_generate_failure_leaves_cache_untouched(self, tmp_path):
+    @pytest.mark.parametrize("body", [
+        pytest.param({"choices": [{"message": {"content": None}}]}, id="null-content"),
+        pytest.param({"choices": [{"message": {"content": ""}}]}, id="empty-content"),
+        pytest.param({"choices": [{"message": {"content": "  "}}]}, id="blank-content"),
+        pytest.param({"choices": None}, id="null-choices"),
+        pytest.param({"choices": [{"message": "text"}]}, id="string-message"),
+        pytest.param("not json", id="non-json-body"),
+    ])
+    def test_unusable_reply_raises_and_leaves_cache_empty(self, server, tmp_path, body):
+        server.replies = [(200, body, 0.0)]
         cache = PromptCache(tmp_path)
-        session = _FakeSession([_FakeResponse(500, text="boom")] * 3)
-        import argscore.augment.providers as providers_mod
-        orig_sleep = providers_mod.time.sleep
-        providers_mod.time.sleep = lambda s: None
-        try:
-            provider = HttpProvider(self.CONFIG, session=session)
-            with pytest.raises(ProviderError):
-                generate(make_record(), {AugmentationKind.FEEDBACK}, provider, cache=cache)
-        finally:
-            providers_mod.time.sleep = orig_sleep
+        with pytest.raises(ProviderError) as err:
+            generate(make_record(), {AugmentationKind.FEEDBACK},
+                     self._provider(server.server_port), cache=cache)
+        assert err.value.status == 200
+        assert len(server.received) == 1 and len(cache) == 0
+
+    def test_generate_failure_leaves_cache_untouched(self, server, tmp_path, no_backoff):
+        server.replies = [(500, "boom", 0.0)] * 3
+        cache = PromptCache(tmp_path)
+        with pytest.raises(ProviderError):
+            generate(make_record(), {AugmentationKind.FEEDBACK},
+                     self._provider(server.server_port), cache=cache)
         assert len(cache) == 0
 
 
