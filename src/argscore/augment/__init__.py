@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -89,9 +89,6 @@ class AugmentationSet:
     def get(self, kind: AugmentationKind) -> Optional[str]:
         return getattr(self, kind.value)
 
-    def with_text(self, kind: AugmentationKind, text: Optional[str]) -> "AugmentationSet":
-        return replace(self, **{kind.value: text})
-
     @property
     def empty_assumptions(self) -> bool:
         return self.assumptions == NO_ASSUMPTIONS
@@ -126,7 +123,9 @@ def generate(
     For every requested kind the prompt is rendered, looked up in the cache by
     content hash, and only on a miss sent to the provider; the response is
     persisted before returning. A hit's metadata carries the time its entry
-    was written. Provider failures propagate and leave the cache untouched.
+    was written. A reply that is not a non-blank string, from any provider,
+    raises ``ProviderError`` (status 0) before it is cached. Provider failures
+    propagate and leave the cache untouched.
     """
     requested = set(kinds)
     texts: dict[str, str] = {}
@@ -145,6 +144,8 @@ def generate(
             response, timestamp = hit  # stamped when the entry was written
         else:
             response = provider.complete(kind, prompt)
+            if not isinstance(response, str) or not response.strip():
+                raise ProviderError(0, f"blank or non-string {kind.value} reply: {response!r}")
             # one timestamp, so a new cache entry and its metadata record the same time
             timestamp = provider.timestamp()
             if cache is not None:

@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 
-class CacheCorrupt(Exception):
+class CacheCorrupt(ValueError):
     def __init__(self, path: str | Path, reason: str):
         super().__init__(f"cache file {path} is corrupt: {reason}")
         self.path = str(path)

@@ -37,7 +37,7 @@ NO_ASSUMPTIONS = "No assumptions"
 
 
 class MissingLabels(ValueError):
-    """Similar-quality prompts need the record's gold scores."""
+    """A similar-quality prompt, or a scored split, lacks gold scores."""
 
 
 class MissingExemplars(ValueError):

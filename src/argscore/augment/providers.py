@@ -28,6 +28,9 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
 class ProviderError(Exception):
+    """``status`` is the reply's HTTP status, or 0 without one: a connection
+    error, or a reply that ``augment.generate`` rejects."""
+
     def __init__(self, status: int, body: str):
         super().__init__(f"provider returned HTTP {status}: {body[:200]}")
         self.status = status
@@ -68,8 +71,9 @@ class HttpProvider:
     through ``urllib.request``, one connection per request.
 
     Transient failures (timeouts, connection errors, 429, 5xx) are retried
-    twice with exponential backoff starting at one second. A reply whose
-    content is not a non-blank string raises ``ProviderError``.
+    twice with exponential backoff starting at one second. A body without
+    ``choices[0].message.content`` raises ``ProviderError``; the content is
+    returned as sent, and ``augment.generate`` checks it.
     """
 
     name = "http"
@@ -129,12 +133,9 @@ class HttpProvider:
             if status != 200:
                 raise ProviderError(status, text)
             try:
-                content = json.loads(text)["choices"][0]["message"]["content"]
+                return json.loads(text)["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ProviderError(status, f"unparseable body: {exc}")
-            if not isinstance(content, str) or not content.strip():
-                raise ProviderError(status, f"content is not a non-blank string: {content!r}")
-            return content
         assert last_exc is not None
         raise last_exc
 

@@ -30,7 +30,6 @@ from argscore.augment import (
 )
 from argscore.jsonobj import check, from_json, to_json
 from argscore.model import (
-    CheckpointError,
     ModelConfig,
     build_vocab,
     init_parameters,
@@ -326,9 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, corpus_mod.CorpusError, aug_mod.ProviderError, aug_mod.ProviderTimeout,
-            aug_mod.CacheCorrupt, CheckpointError, evaluation.EmptySplit,
-            evaluation.MissingLabels, ValueError) as exc:
+    except (OSError, ValueError, aug_mod.ProviderError, aug_mod.ProviderTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

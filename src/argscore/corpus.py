@@ -7,6 +7,10 @@ carries one overall quality value (``wa``). Both exist as CSV and JSONL, and
 header mentions ``cogency`` is three-score and any other CSV single-score; a
 JSONL object with ``cogency`` is three-score, one with ``wa`` single-score,
 and one with neither unlabelled.
+
+The record types own the value checks: ``QualityScores`` holds scores to [1, 5]
+and ``ArgumentRecord`` holds ``wa`` to [0, 1]. ``load_dataset`` turns any bad
+row into a ``MalformedRow`` that names the file and line.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ IBM_COLUMNS = ["id", "topic", "argument", "wa"]
 SPLITS = ("train", "dev", "test")
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for dataset loading and validation failures."""
 
 
@@ -51,20 +55,6 @@ def naming_file(path: str | Path) -> Iterator[None]:
         yield
     except MalformedRow as exc:
         raise MalformedRow(exc.line, exc.reason, str(path)) from None
-
-
-class ScoreOutOfRange(CorpusError):
-    def __init__(self, record_id: str, value: float):
-        super().__init__(
-            f"score {value} for record {record_id!r} outside [{SCORE_MIN}, {SCORE_MAX}]"
-        )
-        self.record_id = record_id
-
-
-class WaOutOfRange(CorpusError):
-    def __init__(self, record_id: str, value: float, lo: float, hi: float):
-        super().__init__(f"wa {value} for record {record_id!r} outside [{lo}, {hi}]")
-        self.record_id = record_id
 
 
 class DuplicateId(CorpusError):
@@ -98,12 +88,14 @@ class QualityScores:
         return (self.cogency, self.effectiveness, self.reasonableness)
 
     def normalized(self) -> tuple[float, float, float]:
-        return tuple(normalize_score(v) for v in self.as_tuple())
+        """Each score mapped linearly from [1, 5] onto [0, 1]."""
+        return tuple((v - SCORE_MIN) / (SCORE_MAX - SCORE_MIN) for v in self.as_tuple())
 
 
 @dataclass(frozen=True)
 class ArgumentRecord:
-    """One topic/argument pair, optionally with gold quality labels."""
+    """One topic/argument pair, optionally with gold quality labels: three
+    scores, or one overall ``wa`` score in [0, 1]."""
 
     id: str
     topic: str
@@ -117,6 +109,8 @@ class ArgumentRecord:
             raise CorpusError("record id must be non-empty")
         if not self.topic.strip() or not self.argument.strip():
             raise CorpusError(f"record {self.id!r}: topic and argument must be non-empty")
+        if self.wa_label is not None and not (0.0 <= self.wa_label <= 1.0):
+            raise OutOfRange(f"record {self.id!r}: wa {self.wa_label} outside [0, 1]")
 
 
 @dataclass
@@ -141,24 +135,23 @@ class Dataset:
         return [r for r in self.records if self.split_assignment.get(r.id) == name]
 
 
-def normalize_score(raw: float) -> float:
-    """Map a [1, 5] score linearly onto [0, 1]."""
-    if not (SCORE_MIN <= raw <= SCORE_MAX):
-        raise OutOfRange(f"score {raw} outside [{SCORE_MIN}, {SCORE_MAX}]")
-    return (raw - SCORE_MIN) / (SCORE_MAX - SCORE_MIN)
+def _parse_float(row: dict, column: str) -> float:
+    """``row[column]`` as a number; a boolean is not one."""
+    if column not in row:
+        raise CorpusError(f"missing column {column!r}")
+    value = row[column]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise CorpusError(f"column {column!r} is not a number: {value!r}")
 
 
-def _parse_float(value, line: int, column: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedRow(line, f"column {column!r} is not a number: {value!r}")
-
-
-def _text(row: dict, column: str, default: str, line: int) -> str:
+def _text(row: dict, column: str, default: str) -> str:
     value = row.get(column, default)
     if not isinstance(value, str):
-        raise MalformedRow(line, f"column {column!r} is not a string: {value!r}")
+        raise CorpusError(f"column {column!r} is not a string: {value!r}")
     return value
 
 
@@ -199,39 +192,24 @@ def _jsonl_rows(fh) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
-def _record(
-    row: dict, line: int, seen: set[str], label_range: tuple[float, float], path: Path,
-) -> tuple[ArgumentRecord, Optional[str]]:
+def _record(row: dict, line: int, seen: set[str]) -> tuple[ArgumentRecord, Optional[str]]:
     """Validate one row, whose ``id`` is a string, into a record and the split
     it names, if any; adds the id to ``seen``. ``cogency`` in the row selects
-    three scores, else ``wa`` one score, else no label. An empty CSV id is
-    rejected with the record, after the range checks."""
+    three scores, else ``wa`` one score, else no label. Any fault, a value the
+    record types reject included, raises ``MalformedRow`` at ``line``."""
     rid = row["id"]
     if rid in seen:
         raise MalformedRow(line, f"duplicate id {rid!r}")
     seen.add(rid)
-    labels = None
-    wa_label = None
-    if "cogency" in row:
-        values = {}
-        for column in ("cogency", "effectiveness", "reasonableness"):
-            if column not in row:
-                raise MissingColumn(column, str(path))
-            values[column] = _parse_float(row[column], line, column)
-        for value in values.values():
-            if not (SCORE_MIN <= value <= SCORE_MAX):
-                raise ScoreOutOfRange(rid, value)
-        labels = QualityScores(**values)
-    elif "wa" in row:
-        wa_label = _parse_float(row["wa"], line, "wa")
-        lo, hi = label_range
-        if not (lo <= wa_label <= hi):
-            raise WaOutOfRange(rid, wa_label, lo, hi)
-    topic = _text(row, "topic", "", line)
-    argument = _text(row, "argument", "", line)
-    domain_tag = _text(row, "domain", "unknown", line)
     try:
-        rec = ArgumentRecord(id=rid, topic=topic, argument=argument, domain_tag=domain_tag,
+        labels = wa_label = None
+        if "cogency" in row:
+            labels = QualityScores(*(_parse_float(row, c) for c in GAQ_COLUMNS[4:]))
+        elif "wa" in row:
+            wa_label = _parse_float(row, "wa")
+        rec = ArgumentRecord(id=rid, topic=_text(row, "topic", ""),
+                             argument=_text(row, "argument", ""),
+                             domain_tag=_text(row, "domain", "unknown"),
                              labels=labels, wa_label=wa_label)
     except CorpusError as exc:
         raise MalformedRow(line, str(exc))
@@ -241,14 +219,17 @@ def _record(
     return rec, split or None
 
 
-def load_dataset(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)) -> Dataset:
-    """Load a ``.jsonl`` file, or else a CSV file. Any invalid row aborts the load.
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a ``.jsonl`` file, or else a CSV file. Any invalid row aborts the
+    load with a ``MalformedRow`` that names the file and line; a CSV header
+    that lacks a column of its layout raises ``MissingColumn``.
 
     A CSV whose first line mentions ``cogency`` is three-score (id, domain,
     topic, argument, cogency, effectiveness, reasonableness[, split]); any
     other CSV is single-score (id, topic, argument, wa[, split]). A JSONL
     object is three-score if it has ``cogency``, single-score if it has
-    ``wa``, and unlabelled otherwise. ``wa`` must lie in ``label_range``."""
+    ``wa``, and unlabelled otherwise. Scores are numbers in [1, 5] and ``wa``
+    a number in [0, 1]; a JSON boolean is not a number."""
     path = Path(path)
     jsonl = path.suffix == ".jsonl"
     records: list[ArgumentRecord] = []
@@ -256,7 +237,7 @@ def load_dataset(path: str | Path, label_range: tuple[float, float] = (0.0, 1.0)
     seen: set[str] = set()
     with path.open(newline=None if jsonl else "", encoding="utf-8") as fh, naming_file(path):
         for line, row in _jsonl_rows(fh) if jsonl else _csv_rows(fh, path):
-            rec, split = _record(row, line, seen, label_range, path)
+            rec, split = _record(row, line, seen)
             records.append(rec)
             if split:
                 splits[rec.id] = split

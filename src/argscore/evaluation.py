@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
+from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER, MissingLabels
 from argscore.corpus import Dataset
 from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, encoding, network
 
@@ -20,11 +20,7 @@ class LengthMismatch(ValueError):
     pass
 
 
-class EmptySplit(Exception):
-    pass
-
-
-class MissingLabels(Exception):
+class EmptySplit(ValueError):
     pass
 
 
@@ -62,13 +58,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     """Pearson correlation of average ranks; None on constant input."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    b = np.asarray(y, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise LengthMismatch(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
-        raise LengthMismatch("need at least two observations")
-    return pearson(rankdata(a), rankdata(b))
+    return pearson(rankdata(x), rankdata(y))
 
 
 _METRIC_COLUMNS = [

@@ -40,7 +40,7 @@ FORMAT_VERSION = 2
 _DTYPE = np.dtype("<f8")
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     pass
 
 

@@ -28,7 +28,7 @@ RESERVED_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[FB]", "[AS]", "[SQ]", "
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
 
 
-class EmptyCorpus(Exception):
+class EmptyCorpus(ValueError):
     pass
 
 

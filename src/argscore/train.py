@@ -86,13 +86,13 @@ class TrainState:
     truncated_tokens: int = 0
 
 
-def apply_masking(aug: AugmentationSet, gamma: float, rng: np.random.Generator) -> AugmentationSet:
-    """Keep the similar-quality text with probability gamma, drop it otherwise.
-    Always consumes exactly one uniform draw; other kinds pass through."""
-    keep = rng.random() < gamma
-    if keep or aug.similar_quality is None:
-        return aug
-    return aug.with_text(AugmentationKind.SIMILAR_QUALITY, None)
+def apply_masking(active: frozenset, gamma: float, rng: np.random.Generator) -> frozenset:
+    """The kinds one training example sees: ``active`` with probability gamma,
+    else ``active`` without similar-quality. Always consumes exactly one
+    uniform draw."""
+    if rng.random() < gamma:
+        return active
+    return active - {AugmentationKind.SIMILAR_QUALITY}
 
 
 class AdamOptimizer:
@@ -144,7 +144,7 @@ def train(
     all undefined counts as 0.0. Every dev record needs gold scores, and a dev
     split needs at least two records; both are checked before the first step.
 
-    Per visited example the similar-quality text is re-masked, the example is
+    Per visited example the similar-quality kind is re-masked, the example is
     encoded and run with dropout, and its gradient is added by ``backward``
     into one accumulator, zeroed before each batch. The batch sum is then
     averaged, clipped (``clip_gradients``) and applied by one Adam step, each
@@ -169,7 +169,6 @@ def train(
         raise ValueError("dev split has one record; correlations need at least two")
 
     targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
-    empty = AugmentationSet()
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")
     optimizer = AdamOptimizer(params, tcfg)
@@ -197,8 +196,8 @@ def train(
             grads.flat.fill(0.0)
             for j in chunk:
                 rec = train_recs[int(j)]
-                aug = apply_masking(augmentations.get(rec.id) or empty, tcfg.gamma, mask_rng)
-                enc = encode_input(rec, aug, vocab, config, tcfg.active_kinds)
+                kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
+                enc = encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
                 state.truncated_tokens += enc.truncated_tokens
                 example_loss, grads = backward(
                     params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2,

@@ -1,11 +1,15 @@
+import importlib
 import json
+import pkgutil
 from importlib import resources
 
 import pytest
 
+import argscore
 from argscore import cli, train
-from argscore.corpus import write_dataset
-from argscore.model import init_parameters, save_checkpoint
+from argscore.augment import ProviderError, ProviderTimeout
+from argscore.corpus import ArgumentRecord, Dataset, write_dataset
+from argscore.model import ShapeMismatch, init_parameters, save_checkpoint
 from tests.conftest import small_config
 from tests.test_checkpoint import _vocab
 
@@ -139,6 +143,58 @@ def test_directory_as_input_file_exits_one(tmp_path, tiny_dataset, capsys, comma
         argv += [option, value]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_header_only_dataset_exits_one(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("id,topic,argument,wa\n", encoding="utf-8")
+    assert cli.main(["train", "--dataset", str(data), "--no-augs",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "no tokens" in _error_line(capsys)
+
+
+def _evaluate_args(tmp_path, records, split):
+    data = tmp_path / "eval.jsonl"
+    write_dataset(Dataset(records=records, split_assignment=split), data)
+    return _checkpoint_args(tmp_path, {}) + ["--dataset", str(data),
+                                             "--out", str(tmp_path / "out")]
+
+
+def test_evaluate_empty_split_exits_one(tmp_path, tiny_dataset, capsys):
+    records = tiny_dataset.records[:4]
+    argv = _evaluate_args(tmp_path, records, {r.id: "train" for r in records})
+    assert cli.main(argv + ["--split", "test"]) == 1
+    assert "split 'test'" in _error_line(capsys)
+
+
+def test_evaluate_without_gold_labels_exits_one(tmp_path, capsys):
+    records = [ArgumentRecord(id=f"u{i}", topic="city parks", argument=f"argument {i}")
+               for i in range(3)]
+    argv = _evaluate_args(tmp_path, records, {r.id: "test" for r in records})
+    assert cli.main(argv) == 1
+    assert "no gold labels" in _error_line(capsys)
+
+
+def test_every_exception_class_is_one_main_reports():
+    """``main`` reports OSError, ValueError, ProviderError and ProviderTimeout
+    as one ``error:`` line. ``cmd_train`` handles NonFiniteLoss, and
+    ShapeMismatch cannot come from command-line input."""
+    handled = (OSError, ValueError, ProviderError, ProviderTimeout,
+               train.NonFiniteLoss, ShapeMismatch)
+    defined = []
+    for info in pkgutil.walk_packages(argscore.__path__, "argscore."):
+        module = importlib.import_module(info.name)
+        defined += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == info.name]
+    assert len(defined) >= 10
+    assert [e.__qualname__ for e in defined if not issubclass(e, handled)] == []
 
 
 def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):

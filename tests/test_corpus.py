@@ -11,11 +11,8 @@ from argscore.corpus import (
     MissingColumn,
     OutOfRange,
     QualityScores,
-    ScoreOutOfRange,
-    WaOutOfRange,
     assign_splits,
     load_dataset,
-    normalize_score,
     write_dataset,
 )
 
@@ -39,9 +36,10 @@ class TestGaqCsv:
 
     def test_score_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.csv", GAQ_HEADER + 'a1,debates,"T","A",5.5,2.5,4.0\n')
-        with pytest.raises(ScoreOutOfRange) as err:
+        with pytest.raises(MalformedRow) as err:
             load_dataset(path)
-        assert err.value.record_id == "a1"
+        assert err.value.line == 2
+        assert f"line 2 of {path}" in str(err.value) and "5.5" in str(err.value)
 
     def test_duplicate_id(self, tmp_path):
         rows = GAQ_HEADER + 'a1,qa,"T","A",3,3,3\na1,qa,"U","B",2,2,2\n'
@@ -81,14 +79,10 @@ class TestIbmCsv:
 
     def test_wa_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.csv", 'id,topic,argument,wa\nb1,"T","A",1.2\n')
-        with pytest.raises(WaOutOfRange) as err:
+        with pytest.raises(MalformedRow) as err:
             load_dataset(path)
-        assert err.value.record_id == "b1"
-
-    def test_custom_label_range(self, tmp_path):
-        path = write(tmp_path, "d.csv", 'id,topic,argument,wa\nb1,"T","A",1.2\n')
-        ds = load_dataset(path, label_range=(0.0, 5.0))
-        assert ds.records[0].wa_label == 1.2
+        assert err.value.line == 2
+        assert f"line 2 of {path}" in str(err.value) and "'b1'" in str(err.value)
 
     def test_header_only(self, tmp_path):
         ds = load_dataset(write(tmp_path, "d.csv", "id,topic,argument,wa\n"))
@@ -130,6 +124,16 @@ def test_jsonl_non_numeric_score_is_malformed(tmp_path):
     # an integer too large for a float
     assert_malformed_second_line(
         tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "wa": 1' + "0" * 400 + "}")
+    # a JSON boolean is not a number, though float() accepts it
+    assert_malformed_second_line(
+        tmp_path, '{"id": "a1", "topic": "T", "argument": "A", '
+        '"cogency": true, "effectiveness": 3, "reasonableness": 3}')
+    assert_malformed_second_line(tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "wa": false}')
+
+
+def test_jsonl_missing_score_is_malformed(tmp_path):
+    assert_malformed_second_line(
+        tmp_path, '{"id": "a1", "topic": "T", "argument": "A", "cogency": 3, "reasonableness": 3}')
 
 
 def test_jsonl_null_score_is_malformed(tmp_path):
@@ -223,15 +227,11 @@ def test_csv_roundtrip_field_identical(tmp_path):
 
 
 def test_normalize_score():
-    assert normalize_score(1.0) == 0.0
-    assert normalize_score(5.0) == 1.0
-    assert normalize_score(3.0) == 0.5
-    with pytest.raises(OutOfRange):
-        normalize_score(0.5)
+    assert QualityScores(1.0, 5.0, 3.0).normalized() == (0.0, 1.0, 0.5)
     # order preserving
     rng = np.random.default_rng(1)
     raw = np.sort(rng.uniform(1, 5, 100))
-    normalized = [normalize_score(v) for v in raw]
+    normalized = [QualityScores(v, v, v).normalized()[0] for v in raw]
     assert all(a < b for a, b in zip(normalized, normalized[1:]) if a != b)
 
 
@@ -283,3 +283,5 @@ def test_record_validation():
         ArgumentRecord(id="x", topic="  ", argument="A")
     with pytest.raises(OutOfRange):
         QualityScores(0.5, 3, 3)
+    with pytest.raises(OutOfRange):
+        ArgumentRecord(id="x", topic="T", argument="A", wa_label=1.2)

@@ -157,6 +157,16 @@ class TestGenerate:
         assert provider.requests_made == 1
         assert again.metadata["feedback"].timestamp == entry["created_at"]
 
+    def test_blank_reply_is_provider_error_and_not_cached(self, tmp_path):
+        record = make_record()
+        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
+        provider = CannedProvider({CannedProvider.prompt_key(prompt): " \n"})
+        cache = PromptCache(tmp_path)
+        for attempt in (1, 2):  # nothing cached, so the provider is asked again
+            with pytest.raises(ProviderError, match="blank or non-string feedback reply"):
+                generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+            assert len(cache) == 0 and provider.requests_made == attempt
+
     def test_provider_failure_leaves_cache_untouched(self, tmp_path):
         cache = PromptCache(tmp_path)
         with pytest.raises(ProviderError):
@@ -284,21 +294,23 @@ class TestHttpProvider:
         self._provider(server.server_port).complete(AugmentationKind.FEEDBACK, "p")
         assert server.received[0]["headers"]["authorization"] == "Bearer secret-key"
 
-    @pytest.mark.parametrize("body", [
-        pytest.param({"choices": [{"message": {"content": None}}]}, id="null-content"),
-        pytest.param({"choices": [{"message": {"content": ""}}]}, id="empty-content"),
-        pytest.param({"choices": [{"message": {"content": "  "}}]}, id="blank-content"),
-        pytest.param({"choices": None}, id="null-choices"),
-        pytest.param({"choices": [{"message": "text"}]}, id="string-message"),
-        pytest.param("not json", id="non-json-body"),
+    # the provider rejects a body it cannot parse (status 200); generate
+    # rejects parsed content that is not a non-blank string (status 0)
+    @pytest.mark.parametrize("body, status", [
+        pytest.param({"choices": [{"message": {"content": None}}]}, 0, id="null-content"),
+        pytest.param({"choices": [{"message": {"content": ""}}]}, 0, id="empty-content"),
+        pytest.param({"choices": [{"message": {"content": "  "}}]}, 0, id="blank-content"),
+        pytest.param({"choices": None}, 200, id="null-choices"),
+        pytest.param({"choices": [{"message": "text"}]}, 200, id="string-message"),
+        pytest.param("not json", 200, id="non-json-body"),
     ])
-    def test_unusable_reply_raises_and_leaves_cache_empty(self, server, tmp_path, body):
+    def test_unusable_reply_raises_and_leaves_cache_empty(self, server, tmp_path, body, status):
         server.replies = [(200, body, 0.0)]
         cache = PromptCache(tmp_path)
         with pytest.raises(ProviderError) as err:
             generate(make_record(), {AugmentationKind.FEEDBACK},
                      self._provider(server.server_port), cache=cache)
-        assert err.value.status == 200
+        assert err.value.status == status
         assert len(server.received) == 1 and len(cache) == 0
 
     def test_generate_failure_leaves_cache_untouched(self, server, tmp_path, no_backoff):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from argscore.augment import AugmentationKind, AugmentationSet
+from argscore.augment import KIND_ORDER, AugmentationKind, AugmentationSet
 from argscore.corpus import ArgumentRecord, Dataset, QualityScores
 from argscore.model import (
     ModelConfig,
@@ -27,40 +27,36 @@ from argscore.train import (
 
 FULL_AUG = AugmentationSet(feedback="keep this", similar_quality="maybe this",
                            assumptions="and this", counter_argument="this too")
+ALL_KINDS = frozenset(KIND_ORDER)
+SQ = AugmentationKind.SIMILAR_QUALITY
 
 
 class TestApplyMasking:
     def test_gamma_zero_always_drops(self):
         rng = stream(0, "masking")
         for _ in range(1000):
-            assert apply_masking(FULL_AUG, 0.0, rng).similar_quality is None
+            assert apply_masking(ALL_KINDS, 0.0, rng) == ALL_KINDS - {SQ}
 
     def test_gamma_one_always_keeps(self):
         rng = stream(0, "masking")
         for _ in range(1000):
-            assert apply_masking(FULL_AUG, 1.0, rng).similar_quality == "maybe this"
+            assert apply_masking(ALL_KINDS, 1.0, rng) == ALL_KINDS
 
     def test_keep_fraction_three_sigma(self):
         rng = stream(0, "masking")
-        kept = sum(
-            1 for _ in range(10_000)
-            if apply_masking(FULL_AUG, 0.5, rng).similar_quality is not None
-        )
+        kept = sum(1 for _ in range(10_000) if SQ in apply_masking(ALL_KINDS, 0.5, rng))
         assert 0.485 <= kept / 10_000 <= 0.515
 
     def test_other_kinds_untouched(self):
         rng = stream(3, "masking")
         for _ in range(200):
-            masked = apply_masking(FULL_AUG, 0.5, rng)
-            assert masked.feedback == FULL_AUG.feedback
-            assert masked.assumptions == FULL_AUG.assumptions
-            assert masked.counter_argument == FULL_AUG.counter_argument
+            assert apply_masking(ALL_KINDS, 0.5, rng) - {SQ} == ALL_KINDS - {SQ}
 
     def test_consumes_exactly_one_draw_per_call(self):
-        no_sq = AugmentationSet(feedback="only")
+        no_sq = frozenset({AugmentationKind.FEEDBACK})
         a = stream(9, "masking")
         b = stream(9, "masking")
-        apply_masking(no_sq, 0.5, a)
+        assert apply_masking(no_sq, 0.5, a) == no_sq
         b.random()
         assert a.random() == b.random()
 

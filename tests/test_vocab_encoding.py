@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,7 @@ class TestEncodeInput:
         vocab, aug = _vocab_and_aug()
         config = ModelConfig(vocab_size=len(vocab), max_seq_len=32, model_dim=8,
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
-        sentinel = aug.with_text(AugmentationKind.ASSUMPTIONS, "No assumptions")
+        sentinel = replace(aug, assumptions="No assumptions")
         assert sentinel.empty_assumptions
         enc = encode_input(make_record(), sentinel, vocab, config, set(KIND_ORDER))
         ids = list(enc.seq2[enc.mask2 > 0])
