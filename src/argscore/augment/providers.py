@@ -32,7 +32,8 @@ class ProviderError(Exception):
     error, or a reply that ``augment.generate`` rejects."""
 
     def __init__(self, status: int, body: str):
-        super().__init__(f"provider returned HTTP {status}: {body[:200]}")
+        what = f"provider returned HTTP {status}" if status > 0 else "provider request failed"
+        super().__init__(f"{what}: {body[:200]}")
         self.status = status
         self.body = body[:200]
 

@@ -140,6 +140,7 @@ def cmd_train(args) -> int:
         return 1
     dataset = corpus_mod.load_dataset(cfg.dataset)
     dataset = _ensure_splits(dataset, cfg)
+    train_mod.check_splits(dataset)
     augmentations = {}
     if not args.no_augs:
         if not cfg.augmentations:

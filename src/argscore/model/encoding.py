@@ -1,4 +1,4 @@
-"""Turn a record plus its generated context into padded token-id sequences."""
+"""Turn a record plus its generated context into token-id sequences."""
 
 from __future__ import annotations
 
@@ -10,33 +10,25 @@ import numpy as np
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import ArgumentRecord
 from argscore.model.config import ModelConfig
-from argscore.model.vocab import CLS_ID, MARKER_IDS, PAD_ID, SEP_ID, Vocabulary
+from argscore.model.vocab import CLS_ID, MARKER_IDS, SEP_ID, Vocabulary
 
 
 @dataclass
 class EncodedExample:
-    """Two fixed-length id sequences with 0/1 attention masks.
+    """Two id sequences at their real length, each cut to ``max_seq_len``,
+    with all-ones attention masks: no position is padding, so the network
+    spends no work on one.
 
     ``seq1`` carries [CLS] topic [SEP] argument [SEP]; ``seq2`` carries the
     active context texts, each introduced by its marker token and closed by
     [SEP]. In single mode the context is appended into ``seq1`` instead and
-    ``seq2`` stays fully padded. ``truncated_tokens`` counts silently dropped
-    ids."""
+    ``seq2`` is empty. ``truncated_tokens`` counts silently dropped ids."""
 
     seq1: np.ndarray
     mask1: np.ndarray
     seq2: np.ndarray
     mask2: np.ndarray
     truncated_tokens: int = 0
-
-
-def _pad(ids: list[int], length: int) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.full(length, PAD_ID, dtype=np.int64)
-    mask = np.zeros(length, dtype=np.float64)
-    n = min(len(ids), length)
-    arr[:n] = ids[:n]
-    mask[:n] = 1.0
-    return arr, mask
 
 
 def encode_input(
@@ -72,7 +64,7 @@ def encode_input(
         aug_ids = []
 
     truncated = max(0, len(ids1) - length) + max(0, len(aug_ids) - length)
-    seq1, mask1 = _pad(ids1, length)
-    seq2, mask2 = _pad(aug_ids, length)
-    return EncodedExample(seq1=seq1, mask1=mask1, seq2=seq2, mask2=mask2,
-                          truncated_tokens=truncated)
+    seq1 = np.array(ids1[:length], dtype=np.int64)
+    seq2 = np.array(aug_ids[:length], dtype=np.int64)
+    return EncodedExample(seq1=seq1, mask1=np.ones(seq1.shape[0]), seq2=seq2,
+                          mask2=np.ones(seq2.shape[0]), truncated_tokens=truncated)

@@ -10,6 +10,11 @@ to the first encoder alone. Single mode is that first encoder alone: it has
 no context encoder or cross-attention, and its context sequence must be
 fully masked.
 
+A sequence may be padded (trailing positions masked out) or not: the outputs
+and gradients are the same up to rounding. Each dropout mask is drawn at
+``max_seq_len`` rows and cut to the sequence's length, so a seeded run draws
+the same mask at every real position whether or not its inputs are padded.
+
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
 """
@@ -137,8 +142,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _dropout_mask(rng: np.random.Generator, n: int, config: ModelConfig) -> np.ndarray:
+    """Inverted-dropout mask for ``n`` positions, the first ``n`` rows of a
+    ``(max_seq_len, model_dim)`` draw."""
+    rate = config.dropout_rate
+    keep = rng.random((config.max_seq_len, config.model_dim))[:n] >= rate
+    return keep / (1.0 - rate)
 
 
 def _attention(p, prefix, xq, xkv, key_mask, num_heads):
@@ -197,12 +206,11 @@ def _attention_backward(p, prefix, cache, dout, grads):
 
 
 def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
-    rate = config.dropout_rate
     n = ids.shape[0]
     x = p[f"{enc}.tok_emb"][ids] + p[f"{enc}.pos_emb"][:n]
     cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
     if dropout_on:
-        dm = _dropout_mask(rng, x.shape, rate)
+        dm = _dropout_mask(rng, n, config)
         cache["dm_emb"] = dm
         x = x * dm
     for layer in range(config.num_layers):
@@ -214,7 +222,7 @@ def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
         lc: dict = {"xh1": xh1, "rstd1": rstd1, "attn": ac}
         cache["attn_probs"].append(ac["probs"])
         if dropout_on:
-            lc["dm_attn"] = _dropout_mask(rng, attn_out.shape, rate)
+            lc["dm_attn"] = _dropout_mask(rng, n, config)
             attn_out = attn_out * lc["dm_attn"]
         x = x + attn_out
         y2, xh2, rstd2 = kernels.layer_norm(
@@ -226,7 +234,7 @@ def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
         f = a @ p[f"{base}.ffn.w2"] + p[f"{base}.ffn.b2"]
         lc["h1"], lc["a"] = h1, a
         if dropout_on:
-            lc["dm_ffn"] = _dropout_mask(rng, f.shape, rate)
+            lc["dm_ffn"] = _dropout_mask(rng, n, config)
             f = f * lc["dm_ffn"]
         x = x + f
         cache["layers"].append(lc)
@@ -304,7 +312,7 @@ def _forward_internal(p, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed)
         cross_probs = cx["probs"]
         cache["c2"], cache["cx"] = c2, cx
         if dropout_on:
-            cache["dm_cross"] = _dropout_mask(rng, cross_out.shape, config.dropout_rate)
+            cache["dm_cross"] = _dropout_mask(rng, seq1.shape[0], config)
             cross_out = cross_out * cache["dm_cross"]
         fused = enc1_out + cross_out
     else:

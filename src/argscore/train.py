@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
-from argscore.corpus import Dataset
+from argscore.corpus import ArgumentRecord, Dataset
 from argscore.evaluation import evaluate
 from argscore.model import (
     ModelConfig,
@@ -128,6 +128,24 @@ def learning_rate_at(peak: float, step: int, total_steps: int) -> float:
     return peak * (1.0 - step / total_steps)
 
 
+def check_splits(dataset: Dataset) -> tuple[list[ArgumentRecord], list[ArgumentRecord]]:
+    """The train and dev records, once ``train`` can run on them: the train
+    split is not empty, every train and dev record has gold scores, and a dev
+    split has no records or at least two. Raises ``ValueError`` otherwise."""
+    train_recs = dataset.split("train")
+    dev_recs = dataset.split("dev")
+    if not train_recs:
+        raise ValueError("train split is empty")
+    for rec in train_recs:
+        if rec.labels is None:
+            raise ValueError(f"training record {rec.id!r} has no gold scores")
+    if any(rec.labels is None for rec in dev_recs):
+        raise ValueError("dev split contains records without gold scores")
+    if len(dev_recs) == 1:
+        raise ValueError("dev split has one record; correlations need at least two")
+    return train_recs, dev_recs
+
+
 def train(
     params: ModelParameters,
     config: ModelConfig,
@@ -141,8 +159,8 @@ def train(
     After each epoch the dev split is scored by ``evaluation.evaluate`` with
     ``tcfg.active_kinds`` (no masking), and the parameters of the epoch with
     the highest ``mean_spearman()`` are returned; a row whose correlations are
-    all undefined counts as 0.0. Every dev record needs gold scores, and a dev
-    split needs at least two records; both are checked before the first step.
+    all undefined counts as 0.0. ``check_splits`` checks the splits before
+    the first step.
 
     Per visited example the similar-quality kind is re-masked, the example is
     encoded and run with dropout, and its gradient is added by ``backward``
@@ -156,18 +174,7 @@ def train(
     non-finite or above ``LOSS_CEILING``, a non-finite pre-clip gradient norm,
     or a non-finite parameter after an update. With no dev split (or zero
     epochs) the final parameters are returned."""
-    train_recs = dataset.split("train")
-    dev_recs = dataset.split("dev")
-    if not train_recs:
-        raise ValueError("train split is empty")
-    for rec in train_recs:
-        if rec.labels is None:
-            raise ValueError(f"training record {rec.id!r} has no gold scores")
-    if any(rec.labels is None for rec in dev_recs):
-        raise ValueError("dev split contains records without gold scores")
-    if len(dev_recs) == 1:
-        raise ValueError("dev split has one record; correlations need at least two")
-
+    train_recs, dev_recs = check_splits(dataset)
     targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")

@@ -156,7 +156,7 @@ def test_header_only_dataset_exits_one(tmp_path, capsys):
     data.write_text("id,topic,argument,wa\n", encoding="utf-8")
     assert cli.main(["train", "--dataset", str(data), "--no-augs",
                      "--out", str(tmp_path / "out")]) == 1
-    assert "no tokens" in _error_line(capsys)
+    assert "train split is empty" in _error_line(capsys)
 
 
 def _evaluate_args(tmp_path, records, split):

@@ -6,6 +6,7 @@ import pytest
 from argscore.model import (
     ModelConfig,
     ShapeMismatch,
+    backward,
     forward,
     init_parameters,
     parameter_shapes,
@@ -71,30 +72,56 @@ def test_mean_pool_of_identical_rows():
     assert pooled.tolist() == [1.0, 2.0, 3.0]
 
 
+def _padded_and_plain(rng, **overrides):
+    """A random model and one random example, unpadded and padded."""
+    config = small_config(
+        max_seq_len=int(rng.integers(8, 13)),
+        num_layers=int(rng.integers(1, 3)),
+        **overrides,
+    )
+    params = init_parameters(config, seed=int(rng.integers(0, 10_000)))
+    n1 = int(rng.integers(3, config.max_seq_len - 1))
+    n2 = int(rng.integers(1, config.max_seq_len - 1))
+    seq1 = rng.integers(0, config.vocab_size, n1)
+    seq2 = rng.integers(0, config.vocab_size, n2)
+    k1 = int(rng.integers(1, config.max_seq_len - n1 + 1))
+    k2 = int(rng.integers(1, config.max_seq_len - n2 + 1))
+    plain = (seq1, seq2, np.ones(n1), np.ones(n2))
+    padded = (
+        np.concatenate([seq1, np.zeros(k1, dtype=np.int64)]),
+        np.concatenate([seq2, np.zeros(k2, dtype=np.int64)]),
+        np.concatenate([np.ones(n1), np.zeros(k1)]),
+        np.concatenate([np.ones(n2), np.zeros(k2)]),
+    )
+    return config, params, plain, padded
+
+
 def test_padding_invariance_many_models():
     rng = np.random.default_rng(42)
     for trial in range(100):
-        config = small_config(
-            max_seq_len=int(rng.integers(8, 13)),
-            num_layers=int(rng.integers(1, 3)),
-        )
-        params = init_parameters(config, seed=int(rng.integers(0, 10_000)))
-        n1 = int(rng.integers(3, config.max_seq_len - 1))
-        n2 = int(rng.integers(1, config.max_seq_len - 1))
-        seq1 = rng.integers(0, config.vocab_size, n1)
-        seq2 = rng.integers(0, config.vocab_size, n2)
-        m1 = np.ones(n1)
-        m2 = np.ones(n2)
-        base = forward(params, config, seq1, seq2, m1, m2).outputs
+        config, params, plain, padded = _padded_and_plain(rng)
+        base = forward(params, config, *plain).outputs
+        out = forward(params, config, *padded).outputs
+        assert np.abs(out - base).max() < 1e-6, f"trial {trial}"
 
-        k1 = int(rng.integers(1, config.max_seq_len - n1 + 1))
-        k2 = int(rng.integers(1, config.max_seq_len - n2 + 1))
-        seq1_p = np.concatenate([seq1, np.zeros(k1, dtype=np.int64)])
-        seq2_p = np.concatenate([seq2, np.zeros(k2, dtype=np.int64)])
-        m1_p = np.concatenate([m1, np.zeros(k1)])
-        m2_p = np.concatenate([m2, np.zeros(k2)])
-        padded = forward(params, config, seq1_p, seq2_p, m1_p, m2_p).outputs
-        assert np.abs(padded - base).max() < 1e-6, f"trial {trial}"
+
+def test_padding_invariance_with_dropout():
+    # dropout masks are drawn at max_seq_len rows, so padding does not shift them
+    rng = np.random.default_rng(43)
+    for trial in range(20):
+        config, params, plain, padded = _padded_and_plain(rng, dropout_rate=0.3)
+        target = rng.random(3)
+        seed = int(rng.integers(0, 2**31))
+        runs = []
+        for inputs in (plain, padded):
+            out = forward(params, config, *inputs, dropout_enabled=True, rng_seed=seed).outputs
+            loss, grads = backward(params, config, *inputs, target,
+                                   dropout_enabled=True, rng_seed=seed)
+            runs.append((out, loss, grads.flat))
+        (out_a, loss_a, grad_a), (out_b, loss_b, grad_b) = runs
+        assert np.abs(out_a - out_b).max() < 1e-12, f"trial {trial}"
+        assert abs(loss_a - loss_b) < 1e-12, f"trial {trial}"
+        assert np.abs(grad_a - grad_b).max() < 1e-12, f"trial {trial}"
 
 
 def test_permutation_sensitivity():

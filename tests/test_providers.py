@@ -163,8 +163,9 @@ class TestGenerate:
         provider = CannedProvider({CannedProvider.prompt_key(prompt): " \n"})
         cache = PromptCache(tmp_path)
         for attempt in (1, 2):  # nothing cached, so the provider is asked again
-            with pytest.raises(ProviderError, match="blank or non-string feedback reply"):
+            with pytest.raises(ProviderError, match="blank or non-string feedback reply") as err:
                 generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+            assert "HTTP 0" not in str(err.value)
             assert len(cache) == 0 and provider.requests_made == attempt
 
     def test_provider_failure_leaves_cache_untouched(self, tmp_path):
@@ -286,6 +287,7 @@ class TestHttpProvider:
         with pytest.raises(ProviderError) as err:
             provider.complete(AugmentationKind.FEEDBACK, "p")
         assert err.value.status == 0 and "connection error" in str(err.value)
+        assert "HTTP 0" not in str(err.value)
         assert provider.requests_made == 3
 
     def test_api_key_header(self, server, monkeypatch):

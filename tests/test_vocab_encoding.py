@@ -7,7 +7,6 @@ from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.model import (
     CLS_ID,
     MARKER_IDS,
-    PAD_ID,
     RESERVED_TOKENS,
     SEP_ID,
     UNK_ID,
@@ -108,8 +107,22 @@ class TestEncodeInput:
         config = ModelConfig(vocab_size=len(vocab), max_seq_len=16, model_dim=8,
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         enc = encode_input(make_record(), None, vocab, config, set(KIND_ORDER))
-        assert (enc.seq2 == PAD_ID).all()
+        assert enc.seq2.size == 0
         assert enc.mask2.sum() == 0
+
+    def test_sequences_at_real_length_with_all_ones_masks(self):
+        vocab, aug = _vocab_and_aug()
+        config = ModelConfig(vocab_size=len(vocab), max_seq_len=16, model_dim=8,
+                             num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
+        short = encode_input(make_record(), None, vocab, config, set())
+        cut = encode_input(make_record(argument="parks help people relax " * 6), aug,
+                           vocab, config, set(KIND_ORDER))
+        assert short.truncated_tokens == 0 and len(short.seq1) < config.max_seq_len
+        assert cut.truncated_tokens > 0 and len(cut.seq1) == len(cut.seq2) == config.max_seq_len
+        for enc in (short, cut):
+            for seq, mask in ((enc.seq1, enc.mask1), (enc.seq2, enc.mask2)):
+                assert len(seq) == mask.sum() <= config.max_seq_len
+                assert (mask == 1.0).all()
 
     def test_subset_of_kinds(self):
         vocab, aug = _vocab_and_aug()
