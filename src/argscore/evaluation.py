@@ -106,7 +106,7 @@ def predict(params, config, vocab, record, aug, active_kinds=()) -> np.ndarray:
     """Deterministic inference for one record; no dropout, no masking. Returns
     the three unclamped head outputs."""
     enc = encoding.encode_input(record, aug, vocab, config, active_kinds)
-    return network.forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2).outputs
+    return network.forward(params, config, enc.seq1, enc.seq2).outputs
 
 
 def evaluate(

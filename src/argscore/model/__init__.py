@@ -16,7 +16,6 @@ from argscore.model.network import (
 from argscore.model.vocab import (
     CLS_ID,
     MARKER_IDS,
-    PAD_ID,
     RESERVED_TOKENS,
     SEP_ID,
     UNK_ID,
@@ -36,7 +35,6 @@ __all__ = [
     "MARKER_IDS",
     "ModelConfig",
     "ModelParameters",
-    "PAD_ID",
     "RESERVED_TOKENS",
     "SEP_ID",
     "ShapeMismatch",

@@ -15,9 +15,7 @@ from argscore.model.vocab import CLS_ID, MARKER_IDS, SEP_ID, Vocabulary
 
 @dataclass
 class EncodedExample:
-    """Two id sequences at their real length, each cut to ``max_seq_len``,
-    with all-ones attention masks: no position is padding, so the network
-    spends no work on one.
+    """Two id sequences at their real length, each cut to ``max_seq_len``.
 
     ``seq1`` carries [CLS] topic [SEP] argument [SEP]; ``seq2`` carries the
     active context texts, each introduced by its marker token and closed by
@@ -25,10 +23,12 @@ class EncodedExample:
     ``seq2`` is empty. ``truncated_tokens`` counts silently dropped ids."""
 
     seq1: np.ndarray
-    mask1: np.ndarray
     seq2: np.ndarray
-    mask2: np.ndarray
     truncated_tokens: int = 0
+
+    # All ones, as no position is padding; the benchmark's truncation counter reads them.
+    mask1 = property(lambda self: np.ones(len(self.seq1)))
+    mask2 = property(lambda self: np.ones(len(self.seq2)))
 
 
 def encode_input(
@@ -64,7 +64,6 @@ def encode_input(
         aug_ids = []
 
     truncated = max(0, len(ids1) - length) + max(0, len(aug_ids) - length)
-    seq1 = np.array(ids1[:length], dtype=np.int64)
-    seq2 = np.array(aug_ids[:length], dtype=np.int64)
-    return EncodedExample(seq1=seq1, mask1=np.ones(seq1.shape[0]), seq2=seq2,
-                          mask2=np.ones(seq2.shape[0]), truncated_tokens=truncated)
+    return EncodedExample(seq1=np.array(ids1[:length], dtype=np.int64),
+                          seq2=np.array(aug_ids[:length], dtype=np.int64),
+                          truncated_tokens=truncated)

@@ -18,17 +18,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    """Row softmax over unmasked keys; masked keys are exactly zero and rows
-    with no unmasked key come back all-zero."""
-    neg = np.where(key_mask > 0.0, 0.0, -np.inf)
-    shifted = scores + neg
-    row_max = shifted.max(axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    e = np.exp(shifted - row_max)
-    denom = e.sum(axis=-1, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return e / safe
+def masked_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis. Every key is real, so nothing is masked:
+    the name is kept because it is the benchmark's span name for this kernel."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_softmax_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:

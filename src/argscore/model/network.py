@@ -3,17 +3,17 @@
 One encoder reads the topic/argument sequence, the other reads the generated
 context sequence. Multi-head cross-attention (queries from the first encoder's
 token states, keys and values from the second's) is added residually onto the
-first encoder's states; the result is mean-pooled over unmasked positions and
-fed to three affine heads, one per quality metric. When the context sequence
-is fully masked the cross-attention term is exactly zero and the model reduces
-to the first encoder alone. Single mode is that first encoder alone: it has
-no context encoder or cross-attention, and its context sequence must be
-fully masked.
+first encoder's states; the result is mean-pooled over all positions and fed
+to three affine heads, one per quality metric.
 
-A sequence may be padded (trailing positions masked out) or not: the outputs
-and gradients are the same up to rounding. Each dropout mask is drawn at
-``max_seq_len`` rows and cut to the sequence's length, so a seeded run draws
-the same mask at every real position whether or not its inputs are padded.
+There is no padding and no attention mask: a sequence is its own length, and
+every position of it is real. An empty context sequence skips the context
+encoder and the cross-attention, so the model reduces to the first encoder
+alone. Single mode is that first encoder alone: it has no context encoder or
+cross-attention, and its context sequence must be empty.
+
+Each dropout mask is drawn at ``max_seq_len`` rows and cut to the sequence's
+length, so the seeded stream does not depend on how long a sequence is.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -150,7 +150,7 @@ def _dropout_mask(rng: np.random.Generator, n: int, config: ModelConfig) -> np.n
     return keep / (1.0 - rate)
 
 
-def _attention(p, prefix, xq, xkv, key_mask, num_heads):
+def _attention(p, prefix, xq, xkv, num_heads):
     """Shared multi-head attention; returns output and backward cache."""
     wq, bq = p[f"{prefix}.wq"], p[f"{prefix}.bq"]
     wk, bk = p[f"{prefix}.wk"], p[f"{prefix}.bk"]
@@ -164,7 +164,7 @@ def _attention(p, prefix, xq, xkv, key_mask, num_heads):
     vh = _split_heads(v, num_heads)
     scale = 1.0 / np.sqrt(qh.shape[-1])
     scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    probs = kernels.masked_softmax(np.ascontiguousarray(scores), key_mask)
+    probs = kernels.masked_softmax(np.ascontiguousarray(scores))
     ctx = _merge_heads(np.matmul(probs, vh))
     out = ctx @ wo + bo
     cache = {
@@ -205,7 +205,7 @@ def _attention_backward(p, prefix, cache, dout, grads):
     return dxq, dxkv
 
 
-def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
+def _encoder_forward(p, enc, ids, config, rng, dropout_on):
     n = ids.shape[0]
     x = p[f"{enc}.tok_emb"][ids] + p[f"{enc}.pos_emb"][:n]
     cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
@@ -218,7 +218,7 @@ def _encoder_forward(p, enc, ids, mask, config, rng, dropout_on):
         y1, xh1, rstd1 = kernels.layer_norm(
             x, p[f"{base}.ln1.gamma"], p[f"{base}.ln1.beta"], LN_EPS
         )
-        attn_out, ac = _attention(p, f"{base}.attn", y1, y1, mask, config.num_heads)
+        attn_out, ac = _attention(p, f"{base}.attn", y1, y1, config.num_heads)
         lc: dict = {"xh1": xh1, "rstd1": rstd1, "attn": ac}
         cache["attn_probs"].append(ac["probs"])
         if dropout_on:
@@ -284,31 +284,31 @@ def _encoder_backward(p, enc, config, cache, dout, grads):
     grads[f"{enc}.pos_emb"][: dx.shape[0]] += dx
 
 
-def _check_inputs(config, seq1, seq2, mask1, mask2):
-    for name, seq, mask in (("seq1", seq1, mask1), ("seq2", seq2, mask2)):
-        if seq.ndim != 1 or mask.ndim != 1 or seq.shape[0] != mask.shape[0]:
-            raise ShapeMismatch(f"{name}: ids and mask must be 1-d and equal length")
+def _check_inputs(config, seq1, seq2):
+    for name, seq in (("seq1", seq1), ("seq2", seq2)):
+        if seq.ndim != 1:
+            raise ShapeMismatch(f"{name}: ids must be 1-d")
         if seq.shape[0] > config.max_seq_len:
             raise ShapeMismatch(
                 f"{name}: length {seq.shape[0]} exceeds max_seq_len {config.max_seq_len}"
             )
-    if mask1.sum() < 1:
-        raise ShapeMismatch("seq1 must contain at least one unmasked position")
-    if config.mode == "single" and mask2.sum() > 0:
-        raise ShapeMismatch("seq2 must be fully masked in single mode")
+    if seq1.shape[0] == 0:
+        raise ShapeMismatch("seq1 must not be empty")
+    if config.mode == "single" and seq2.shape[0] > 0:
+        raise ShapeMismatch("seq2 must be empty in single mode")
 
 
-def _forward_internal(p, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed):
-    _check_inputs(config, seq1, seq2, mask1, mask2)
+def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed):
+    _check_inputs(config, seq1, seq2)
     rng = np.random.default_rng(rng_seed) if dropout_on else None
-    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, mask1, config, rng, dropout_on)
-    cache: dict = {"c1": c1, "mask1": mask1}
-    has_context = seq2.shape[0] > 0 and mask2.sum() > 0
+    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, rng, dropout_on)
+    cache: dict = {"c1": c1}
+    has_context = seq2.shape[0] > 0
     cross_probs = None
     enc2_out = None
     if has_context:
-        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, mask2, config, rng, dropout_on)
-        cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, mask2, config.num_cross_heads)
+        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, rng, dropout_on)
+        cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads)
         cross_probs = cx["probs"]
         cache["c2"], cache["cx"] = c2, cx
         if dropout_on:
@@ -317,12 +317,11 @@ def _forward_internal(p, config, seq1, seq2, mask1, mask2, dropout_on, rng_seed)
         fused = enc1_out + cross_out
     else:
         fused = enc1_out
-    n_pool = mask1.sum()
-    pooled = (fused * mask1[:, None]).sum(axis=0) / n_pool
+    pooled = fused.sum(axis=0) / seq1.shape[0]
     outputs = np.empty(3)
     for i, head in enumerate(HEAD_NAMES):
         outputs[i] = pooled @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
-    cache["pooled"], cache["n_pool"] = pooled, n_pool
+    cache["pooled"] = pooled
     trace = ForwardTrace(
         enc1_states=enc1_out,
         enc2_states=enc2_out,
@@ -340,13 +339,10 @@ def forward(
     config: ModelConfig,
     seq1: np.ndarray,
     seq2: np.ndarray,
-    mask1: np.ndarray,
-    mask2: np.ndarray,
     dropout_enabled: bool = False,
     rng_seed: int = 0,
 ) -> ForwardTrace:
-    trace, _ = _forward_internal(params, config, seq1, seq2, mask1, mask2,
-                                 dropout_enabled, rng_seed)
+    trace, _ = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed)
     return trace
 
 
@@ -355,8 +351,6 @@ def backward(
     config: ModelConfig,
     seq1: np.ndarray,
     seq2: np.ndarray,
-    mask1: np.ndarray,
-    mask2: np.ndarray,
     target: np.ndarray,
     dropout_enabled: bool = False,
     rng_seed: int = 0,
@@ -372,8 +366,7 @@ def backward(
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (3,):
         raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
-    trace, cache = _forward_internal(params, config, seq1, seq2, mask1, mask2,
-                                     dropout_enabled, rng_seed)
+    trace, cache = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed)
     if grads is None:
         grads = params.zeros_like()
     diff = trace.outputs - target
@@ -387,8 +380,7 @@ def backward(
         grads[f"head.{head}.b"] += douts[i]
         dpooled += douts[i] * params[f"head.{head}.w"]
 
-    mask1 = cache["mask1"]
-    dfused = mask1[:, None] * (dpooled / cache["n_pool"])
+    dfused = np.tile(dpooled / seq1.shape[0], (seq1.shape[0], 1))  # each row pools at 1/n
 
     denc1 = dfused.copy()
     if "cx" in cache:

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from argscore.augment.prompts import AugmentationKind
 
-PAD_ID = 0
+# id 0 is [PAD]: no sequence is padded, but saved vocabularies keep its slot
 UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3

@@ -15,17 +15,12 @@ def small_config(**overrides) -> ModelConfig:
 
 
 def random_example(config: ModelConfig, seed: int, pad1: int = 2, pad2: int = 3):
+    """``(seq1, seq2)`` of ``max_seq_len - pad1`` and ``max_seq_len - pad2`` ids."""
     rng = np.random.default_rng(seed)
     n = config.max_seq_len
     seq1 = rng.integers(0, config.vocab_size, n)
     seq2 = rng.integers(0, config.vocab_size, n)
-    mask1 = np.ones(n)
-    if pad1:
-        mask1[-pad1:] = 0.0
-    mask2 = np.ones(n)
-    if pad2:
-        mask2[-pad2:] = 0.0
-    return seq1, seq2, mask1, mask2
+    return seq1[: n - pad1], seq2[: n - pad2]
 
 
 def make_record(i: int = 0, topic: str = "city parks", argument: str = "parks help people relax",

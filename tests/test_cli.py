@@ -232,3 +232,10 @@ def test_gradcheck_without_flags_checks_the_default_config(monkeypatch):
     monkeypatch.setattr(train, "grad_check", fake_grad_check)
     assert cli.main(["gradcheck"]) == 0
     assert checked == [train.default_gradcheck_config()]
+
+
+def test_gradcheck_too_short_a_sequence_is_one_error_line(capsys):
+    # grad_check cuts two ids from the first sequence, so it needs L >= 3
+    for seq_len in ("1", "2"):
+        assert cli.main(["gradcheck", "--seq-len", seq_len]) == 1
+        assert "3 <= L <= 8" in _error_line(capsys)

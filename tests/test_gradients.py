@@ -45,10 +45,9 @@ def test_grad_check_rejects_large_configs():
 def test_masked_context_parameters_get_zero_gradient():
     config = small_config()
     params = init_parameters(config, seed=1)
-    seq1, seq2, m1, _ = random_example(config, 2)
-    m2 = np.zeros_like(m1)
+    seq1, seq2 = random_example(config, 2)
     target = np.array([0.3, 0.5, 0.7])
-    _, grads = backward(params, config, seq1, seq2, m1, m2, target)
+    _, grads = backward(params, config, seq1, seq2[:0], target)
     for name, g in grads.items():
         if name.startswith("enc2.") or name.startswith("cross."):
             assert (g == 0.0).all(), name
@@ -64,9 +63,9 @@ def test_head_bias_gradient_formula():
     params["head.cogency.b"][:] = 0.25
     params["head.effectiveness.b"][:] = -0.5
     params["head.reasonableness.b"][:] = 0.0
-    seq1, seq2, m1, m2 = random_example(config, 7)
+    seq1, seq2 = random_example(config, 7)
     target = np.zeros(3)
-    loss, grads = backward(params, config, seq1, seq2, m1, m2, target)
+    loss, grads = backward(params, config, seq1, seq2, target)
     assert grads["head.cogency.b"][0] == pytest.approx(2 * 0.25 / 3, abs=1e-15)
     assert grads["head.effectiveness.b"][0] == pytest.approx(2 * -0.5 / 3, abs=1e-15)
     assert grads["head.reasonableness.b"][0] == pytest.approx(0.0, abs=1e-15)
@@ -76,8 +75,8 @@ def test_head_bias_gradient_formula():
 def test_gradient_store_aligned_with_parameters():
     config = small_config()
     params = init_parameters(config, seed=0)
-    seq1, seq2, m1, m2 = random_example(config, 0)
-    _, grads = backward(params, config, seq1, seq2, m1, m2, np.zeros(3))
+    seq1, seq2 = random_example(config, 0)
+    _, grads = backward(params, config, seq1, seq2, np.zeros(3))
     assert set(grads) == set(params)
     for name in grads:
         assert grads[name].shape == params[name].shape
@@ -86,11 +85,10 @@ def test_gradient_store_aligned_with_parameters():
 def test_backward_with_dropout_matches_seeded_forward():
     config = small_config(dropout_rate=0.3)
     params = init_parameters(config, seed=8)
-    seq1, seq2, m1, m2 = random_example(config, 9)
+    seq1, seq2 = random_example(config, 9)
     target = np.array([0.2, 0.4, 0.6])
-    trace = forward(params, config, seq1, seq2, m1, m2, dropout_enabled=True, rng_seed=5)
-    loss, _ = backward(params, config, seq1, seq2, m1, m2, target,
-                       dropout_enabled=True, rng_seed=5)
+    trace = forward(params, config, seq1, seq2, dropout_enabled=True, rng_seed=5)
+    loss, _ = backward(params, config, seq1, seq2, target, dropout_enabled=True, rng_seed=5)
     assert loss == pytest.approx(float(np.mean((trace.outputs - target) ** 2)), abs=1e-15)
 
 

@@ -101,7 +101,7 @@ def _train_mse(params, config, vocab, dataset):
     errors = []
     for rec in dataset.split("train"):
         enc = encode_input(rec, None, vocab, config, set())
-        out = forward(params, config, enc.seq1, enc.seq2, enc.mask1, enc.mask2).outputs
+        out = forward(params, config, enc.seq1, enc.seq2).outputs
         errors.append(float(np.mean((out - np.array(rec.labels.normalized())) ** 2)))
     return float(np.mean(errors))
 

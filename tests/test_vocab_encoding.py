@@ -88,7 +88,7 @@ class TestEncodeInput:
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         record = make_record()
         enc = encode_input(record, None, vocab, config, set())
-        ids = list(enc.seq1[enc.mask1 > 0])
+        ids = list(enc.seq1)
         assert ids[0] == CLS_ID
         assert ids.count(SEP_ID) == 2
         assert ids[-1] == SEP_ID
@@ -98,7 +98,7 @@ class TestEncodeInput:
         config = ModelConfig(vocab_size=len(vocab), max_seq_len=32, model_dim=8,
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         enc = encode_input(make_record(), aug, vocab, config, set(KIND_ORDER))
-        ids = list(enc.seq2[enc.mask2 > 0])
+        ids = list(enc.seq2)
         markers = [i for i in ids if i in MARKER_IDS.values()]
         assert markers == [MARKER_IDS[k] for k in KIND_ORDER]
 
@@ -108,7 +108,6 @@ class TestEncodeInput:
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         enc = encode_input(make_record(), None, vocab, config, set(KIND_ORDER))
         assert enc.seq2.size == 0
-        assert enc.mask2.sum() == 0
 
     def test_sequences_at_real_length_with_all_ones_masks(self):
         vocab, aug = _vocab_and_aug()
@@ -130,7 +129,7 @@ class TestEncodeInput:
                              num_layers=1, num_heads=2, ffn_dim=16, num_cross_heads=2)
         enc = encode_input(make_record(), aug, vocab, config,
                            {AugmentationKind.FEEDBACK, AugmentationKind.COUNTER_ARGUMENT})
-        ids = list(enc.seq2[enc.mask2 > 0])
+        ids = list(enc.seq2)
         markers = [i for i in ids if i in MARKER_IDS.values()]
         assert markers == [MARKER_IDS[AugmentationKind.FEEDBACK],
                            MARKER_IDS[AugmentationKind.COUNTER_ARGUMENT]]
@@ -142,7 +141,7 @@ class TestEncodeInput:
         sentinel = replace(aug, assumptions="No assumptions")
         assert sentinel.empty_assumptions
         enc = encode_input(make_record(), sentinel, vocab, config, set(KIND_ORDER))
-        ids = list(enc.seq2[enc.mask2 > 0])
+        ids = list(enc.seq2)
         assert MARKER_IDS[AugmentationKind.ASSUMPTIONS] not in ids
 
     def test_single_mode_appends_and_truncates(self):
@@ -152,8 +151,8 @@ class TestEncodeInput:
                              mode="single")
         record = make_record(argument="parks help people relax " * 6)
         enc = encode_input(record, aug, vocab, config, set(KIND_ORDER))
-        assert enc.mask1.sum() == config.max_seq_len
-        assert enc.mask2.sum() == 0
+        assert len(enc.seq1) == config.max_seq_len
+        assert len(enc.seq2) == 0
         assert enc.truncated_tokens > 0
 
     def test_capacity_dual_vs_single(self):
@@ -167,5 +166,5 @@ class TestEncodeInput:
         single = ModelConfig(mode="single", **common)
         enc_d = encode_input(long_record, long_aug, vocab, dual, set(KIND_ORDER))
         enc_s = encode_input(long_record, long_aug, vocab, single, set(KIND_ORDER))
-        assert int(enc_d.mask1.sum() + enc_d.mask2.sum()) == 2 * dual.max_seq_len
-        assert int(enc_s.mask1.sum() + enc_s.mask2.sum()) == single.max_seq_len
+        assert len(enc_d.seq1) + len(enc_d.seq2) == 2 * dual.max_seq_len
+        assert len(enc_s.seq1) + len(enc_s.seq2) == single.max_seq_len
