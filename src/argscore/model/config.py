@@ -22,13 +22,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("vocab_size", "max_seq_len", "model_dim", "num_layers", "num_heads",
+                     "ffn_dim", "num_cross_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("model_dim must be divisible by num_heads")
         if self.model_dim % self.num_cross_heads != 0:
             raise ValueError("model_dim must be divisible by num_cross_heads")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
-        for name in ("vocab_size", "max_seq_len", "model_dim", "num_layers", "num_heads",
-                     "ffn_dim", "num_cross_heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")

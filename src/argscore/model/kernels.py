@@ -1,5 +1,15 @@
 """Hot numeric kernels, in numpy. All kernels operate on float64 arrays.
 
+Two rules hold for every kernel, and ``tests/test_kernels.py`` checks both:
+a kernel never writes into its arguments (``adam_update`` excepted, whose
+job is to update ``p``, ``m`` and ``v``), and its results equal bitwise
+those of its plain expression, one temporary per operation. The kernels
+evaluate the same operations in the same order, but into a few temporaries
+of their own through ``out=`` and in-place operators. Row means are
+``np.add.reduce(x, axis=-1, keepdims=True) / d`` and column sums
+``np.add.reduce(x, axis=0)``: the same reductions as ``.mean`` and ``.sum``,
+without their Python wrappers.
+
 Callers look each kernel up as ``kernels.<name>`` at call time, so the
 ``kernels.*`` spans of ``python3 benchmarks/run.py --trace 1`` can time each
 one per call and per round.
@@ -21,47 +31,87 @@ _GELU_A = 0.044715
 def masked_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis. Every key is real, so nothing is masked:
     the name is kept because it is the benchmark's span name for this kernel."""
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def masked_softmax_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    row = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return probs * (dprobs - row)
+    g = dprobs * probs
+    row = np.add.reduce(g, axis=-1, keepdims=True)
+    np.subtract(dprobs, row, out=g)
+    g *= probs
+    return g
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * rstd
-    return xhat * gamma + beta, xhat, rstd[:, 0]
+    d = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    y = xhat * xhat
+    rstd = np.add.reduce(y, axis=-1, keepdims=True) / d
+    rstd += eps
+    np.sqrt(rstd, out=rstd)
+    np.divide(1.0, rstd, out=rstd)
+    xhat *= rstd
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, xhat, rstd[:, 0]
 
 
 def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: np.ndarray):
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * rstd[:, None]
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    return dx, dgamma, dbeta
+    d = dy.shape[-1]
+    dx = dy * gamma  # dxhat until it is scaled
+    t = dx * xhat
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
+    dx -= m1
+    np.multiply(xhat, m2, out=t)
+    dx -= t
+    dx *= rstd[:, None]
+    np.multiply(dy, xhat, out=t)
+    return dx, np.add.reduce(t, axis=0), np.add.reduce(dy, axis=0)
 
 
 # Powers are written as products: numpy evaluates a float ``x ** 3`` with
 # ``pow`` per element, which costs about ten times the rest of the GELU.
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """``0.5 * x * (1 + tanh(C * (x + A * x**3)))``."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    out = np.multiply(x, 0.5)
+    out *= t
+    return out
 
 
 def gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    inner = _GELU_C * (x + _GELU_A * (x2 * x))
-    t = np.tanh(inner)
-    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    """``dy * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner)``, where ``t``
+    is the forward pass's tanh and ``dinner = C * (1 + 3 * A * x**2)``."""
+    dinner = x * x
+    t = dinner * x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    dinner *= 3.0 * _GELU_A
+    dinner += 1.0
+    dinner *= _GELU_C
+    slope = np.multiply(x, 0.5)
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    slope *= u
+    slope *= dinner
+    t += 1.0
+    t *= 0.5
+    t += slope
+    t *= dy
+    return t
 
 
 _ADAM_BLOCK = 1 << 15  # elements: 256 KB per scratch array

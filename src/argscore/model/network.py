@@ -13,7 +13,13 @@ alone. Single mode is that first encoder alone: it has no context encoder or
 cross-attention, and its context sequence must be empty.
 
 Each dropout mask is drawn at ``max_seq_len`` rows and cut to the sequence's
-length, so the seeded stream does not depend on how long a sequence is.
+length, so the seeded stream does not depend on how long a sequence is. A
+forward pass draws all its masks in one ``rng.random`` call of shape
+``(count, max_seq_len, model_dim)``: ``1 + 2 * num_layers`` per encoder run
+(embedding, then attention and FFN per layer), and one for cross-attention.
+They are handed out in that order, encoder 1 first, which reads the stream
+exactly as one draw per mask would. Each mask is ``(draw >= rate) / (1 -
+rate)`` (inverted dropout), made for the whole block at once.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -142,31 +148,28 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _dropout_mask(rng: np.random.Generator, n: int, config: ModelConfig) -> np.ndarray:
-    """Inverted-dropout mask for ``n`` positions, the first ``n`` rows of a
-    ``(max_seq_len, model_dim)`` draw."""
-    rate = config.dropout_rate
-    keep = rng.random((config.max_seq_len, config.model_dim))[:n] >= rate
-    return keep / (1.0 - rate)
-
-
 def _attention(p, prefix, xq, xkv, num_heads):
     """Shared multi-head attention; returns output and backward cache."""
     wq, bq = p[f"{prefix}.wq"], p[f"{prefix}.bq"]
     wk, bk = p[f"{prefix}.wk"], p[f"{prefix}.bk"]
     wv, bv = p[f"{prefix}.wv"], p[f"{prefix}.bv"]
     wo, bo = p[f"{prefix}.wo"], p[f"{prefix}.bo"]
-    q = xq @ wq + bq
-    k = xkv @ wk + bk
-    v = xkv @ wv + bv
+    q = xq @ wq
+    q += bq
+    k = xkv @ wk
+    k += bk
+    v = xkv @ wv
+    v += bv
     qh = _split_heads(q, num_heads)
     kh = _split_heads(k, num_heads)
     vh = _split_heads(v, num_heads)
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    probs = kernels.masked_softmax(np.ascontiguousarray(scores))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1))
+    scores *= scale
+    probs = kernels.masked_softmax(scores)
     ctx = _merge_heads(np.matmul(probs, vh))
-    out = ctx @ wo + bo
+    out = ctx @ wo
+    out += bo
     cache = {
         "xq": xq, "xkv": xkv, "qh": qh, "kh": kh, "vh": vh,
         "probs": probs, "ctx": ctx, "scale": scale, "num_heads": num_heads,
@@ -188,9 +191,11 @@ def _attention_backward(p, prefix, cache, dout, grads):
     dctx_h = _split_heads(dctx, num_heads)
     dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1))
     dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h)
-    dscores = kernels.masked_softmax_grad(probs, np.ascontiguousarray(dprobs))
-    dqh = np.matmul(dscores, kh) * scale
-    dkh = np.matmul(dscores.transpose(0, 2, 1), qh) * scale
+    dscores = kernels.masked_softmax_grad(probs, dprobs)
+    dqh = np.matmul(dscores, kh)
+    dqh *= scale
+    dkh = np.matmul(dscores.transpose(0, 2, 1), qh)
+    dkh *= scale
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
@@ -201,18 +206,22 @@ def _attention_backward(p, prefix, cache, dout, grads):
     grads[f"{prefix}.wv"] += xkv.T @ dv
     grads[f"{prefix}.bv"] += dv.sum(axis=0)
     dxq = dq @ wq.T
-    dxkv = dk @ wk.T + dv @ wv.T
+    dxkv = dk @ wk.T
+    dxkv += dv @ wv.T
     return dxq, dxkv
 
 
-def _encoder_forward(p, enc, ids, config, rng, dropout_on):
+def _encoder_forward(p, enc, ids, config, masks):
+    """``masks`` yields the ``(max_seq_len, model_dim)`` inverted-dropout
+    masks, one per use; None turns dropout off."""
     n = ids.shape[0]
+    dropout_on = masks is not None
     x = p[f"{enc}.tok_emb"][ids] + p[f"{enc}.pos_emb"][:n]
     cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
     if dropout_on:
-        dm = _dropout_mask(rng, n, config)
+        dm = next(masks)[:n]
         cache["dm_emb"] = dm
-        x = x * dm
+        x *= dm
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
         y1, xh1, rstd1 = kernels.layer_norm(
@@ -222,21 +231,23 @@ def _encoder_forward(p, enc, ids, config, rng, dropout_on):
         lc: dict = {"xh1": xh1, "rstd1": rstd1, "attn": ac}
         cache["attn_probs"].append(ac["probs"])
         if dropout_on:
-            lc["dm_attn"] = _dropout_mask(rng, n, config)
-            attn_out = attn_out * lc["dm_attn"]
-        x = x + attn_out
+            lc["dm_attn"] = next(masks)[:n]
+            attn_out *= lc["dm_attn"]
+        x += attn_out
         y2, xh2, rstd2 = kernels.layer_norm(
             x, p[f"{base}.ln2.gamma"], p[f"{base}.ln2.beta"], LN_EPS
         )
         lc["y2"], lc["xh2"], lc["rstd2"] = y2, xh2, rstd2
-        h1 = y2 @ p[f"{base}.ffn.w1"] + p[f"{base}.ffn.b1"]
+        h1 = y2 @ p[f"{base}.ffn.w1"]
+        h1 += p[f"{base}.ffn.b1"]
         a = kernels.gelu(h1)
-        f = a @ p[f"{base}.ffn.w2"] + p[f"{base}.ffn.b2"]
+        f = a @ p[f"{base}.ffn.w2"]
+        f += p[f"{base}.ffn.b2"]
         lc["h1"], lc["a"] = h1, a
         if dropout_on:
-            lc["dm_ffn"] = _dropout_mask(rng, n, config)
-            f = f * lc["dm_ffn"]
-        x = x + f
+            lc["dm_ffn"] = next(masks)[:n]
+            f *= lc["dm_ffn"]
+        x += f
         cache["layers"].append(lc)
     out, xhf, rstdf = kernels.layer_norm(
         x, p[f"{enc}.final_ln.gamma"], p[f"{enc}.final_ln.beta"], LN_EPS
@@ -300,20 +311,29 @@ def _check_inputs(config, seq1, seq2):
 
 def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed):
     _check_inputs(config, seq1, seq2)
-    rng = np.random.default_rng(rng_seed) if dropout_on else None
-    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, rng, dropout_on)
-    cache: dict = {"c1": c1}
     has_context = seq2.shape[0] > 0
+    masks = None
+    if dropout_on:
+        # every mask of the run from one call: the same numbers, in the same
+        # order, as one (max_seq_len, model_dim) draw per mask
+        per_encoder = 1 + 2 * config.num_layers
+        count = 2 * per_encoder + 1 if has_context else per_encoder
+        rate = config.dropout_rate
+        draws = np.random.default_rng(rng_seed).random(
+            (count, config.max_seq_len, config.model_dim))
+        masks = iter((draws >= rate) / (1.0 - rate))
+    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, masks)
+    cache: dict = {"c1": c1}
     cross_probs = None
     enc2_out = None
     if has_context:
-        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, rng, dropout_on)
+        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, masks)
         cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads)
         cross_probs = cx["probs"]
         cache["c2"], cache["cx"] = c2, cx
         if dropout_on:
-            cache["dm_cross"] = _dropout_mask(rng, seq1.shape[0], config)
-            cross_out = cross_out * cache["dm_cross"]
+            cache["dm_cross"] = next(masks)[: seq1.shape[0]]
+            cross_out *= cache["dm_cross"]
         fused = enc1_out + cross_out
     else:
         fused = enc1_out

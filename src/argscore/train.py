@@ -166,10 +166,13 @@ def train(
     encoded and run with dropout, and its gradient is added by ``backward``
     into one accumulator, zeroed before each batch. The batch sum is then
     averaged, clipped (``clip_gradients``) and applied by one Adam step, each
-    on the accumulator's ``flat`` vector. The run allocates its full-size
-    vectors (parameters, best parameters, gradients, Adam moments) once, none
-    per step. The learning rate decays linearly from ``tcfg.learning_rate`` to
-    zero over the run's ``epochs * ceil(n_train / batch_size)`` steps.
+    on the accumulator's ``flat`` vector. Masking leaves each record one of
+    two kind sets, so each ``(record, kinds)`` pair is encoded once per call
+    and reused on later visits; its ``truncated_tokens`` count on every
+    visit. The run allocates its full-size vectors (parameters, best
+    parameters, gradients, Adam moments) once, none per step. The learning
+    rate decays linearly from ``tcfg.learning_rate`` to zero over the run's
+    ``epochs * ceil(n_train / batch_size)`` steps.
     Divergence stops training with ``NonFiniteLoss``: an example loss that is
     non-finite or above ``LOSS_CEILING``, a non-finite pre-clip gradient norm,
     or a non-finite parameter after an update. With no dev split (or zero
@@ -183,6 +186,7 @@ def train(
     params = params.copy()
     grads = params.zeros_like()
     dropout_on = config.dropout_rate > 0.0
+    encoded: dict = {}  # (record index, kinds) -> EncodedExample
 
     best_params = params.zeros_like()
     best_score = -np.inf
@@ -201,15 +205,18 @@ def train(
             chunk = perm[start : start + tcfg.batch_size]
             lr = learning_rate_at(tcfg.learning_rate, state.step, total_steps)
             grads.flat.fill(0.0)
-            for j in chunk:
-                rec = train_recs[int(j)]
+            for j in chunk.tolist():
+                rec = train_recs[j]
                 kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
-                enc = encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
+                enc = encoded.get((j, kinds))
+                if enc is None:
+                    enc = encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
+                    encoded[j, kinds] = enc
                 state.truncated_tokens += enc.truncated_tokens
                 example_loss, grads = backward(
                     params, config, enc.seq1, enc.seq2, targets[rec.id],
                     dropout_enabled=dropout_on,
-                    rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, int(j)),
+                    rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
                     grads=grads,
                 )
                 if not math.isfinite(example_loss):
@@ -276,9 +283,14 @@ def grad_check(
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences on a
-    random small-model example (dropout off, float64 throughout)."""
+    random small-model example (dropout off, float64 throughout). ``eps`` must
+    be positive and finite, and ``tolerance`` positive."""
     from argscore.model import init_parameters
 
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     config = config or default_gradcheck_config()
     if config.model_dim > 16 or not 3 <= config.max_seq_len <= 8:
         raise ValueError("grad_check is restricted to small configs (d <= 16, 3 <= L <= 8)")

@@ -239,3 +239,16 @@ def test_gradcheck_too_short_a_sequence_is_one_error_line(capsys):
     for seq_len in ("1", "2"):
         assert cli.main(["gradcheck", "--seq-len", seq_len]) == 1
         assert "3 <= L <= 8" in _error_line(capsys)
+
+
+def test_gradcheck_zero_heads_is_one_error_line(capsys):
+    # sizes are checked before divisibility, so no ZeroDivisionError escapes
+    assert cli.main(["gradcheck", "--heads", "0"]) == 1
+    assert "num_heads must be positive" in _error_line(capsys)
+
+
+def test_gradcheck_bad_step_or_tolerance_is_one_error_line(capsys):
+    for flag, value in (("--eps", "0"), ("--eps", "-1e-4"), ("--eps", "nan"),
+                        ("--eps", "inf"), ("--tol", "0"), ("--tol", "-1")):
+        assert cli.main(["gradcheck", f"{flag}={value}"]) == 1
+        assert ("eps" if flag == "--eps" else "tolerance") in _error_line(capsys)

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from argscore.model import kernels
 
@@ -108,3 +109,96 @@ def test_adam_update_blocks_equal_one_pass():
     ref_p -= 1e-3 * (ref_m / 0.1) / (np.sqrt(ref_v / 0.001) + 1e-8)
     assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
     assert np.array_equal(p, ref_p)
+
+
+# The kernels as plain expressions, one temporary per operation. The in-place
+# kernels must equal these bitwise.
+
+def _plain_masked_softmax(scores):
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _plain_masked_softmax_grad(probs, dprobs):
+    row = (dprobs * probs).sum(axis=-1, keepdims=True)
+    return probs * (dprobs - row)
+
+
+def _plain_layer_norm(x, gamma, beta, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * rstd
+    return xhat * gamma + beta, xhat, rstd[:, 0]
+
+
+def _plain_layer_norm_grad(dy, gamma, xhat, rstd):
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = (dxhat - m1 - xhat * m2) * rstd[:, None]
+    dgamma = (dy * xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    return dx, dgamma, dbeta
+
+
+def _plain_gelu(x):
+    inner = _C * (x + _A * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def _plain_gelu_grad(dy, x):
+    x2 = x * x
+    inner = _C * (x + _A * (x2 * x))
+    t = np.tanh(inner)
+    dinner = _C * (1.0 + 3.0 * _A * x2)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def _mixed(rng, shape, top=3.0):
+    """Both signs, magnitudes from 1e-3 up to 10**top."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, top, shape)
+
+
+def _kernel_cases(rows, width):
+    """(kernel, plain expression, arguments) for every kernel at one shape."""
+    rng = np.random.default_rng(rows * 1000 + width)
+    x = _mixed(rng, (rows, width))
+    dy = _mixed(rng, (rows, width))
+    gamma, beta = _mixed(rng, (2, width), top=1.0)
+    probs = _plain_masked_softmax(_mixed(rng, (rows, width)))
+    _, xhat, rstd = _plain_layer_norm(x, gamma, beta, 1e-5)
+    return [
+        (kernels.masked_softmax, _plain_masked_softmax, (x,)),
+        (kernels.masked_softmax_grad, _plain_masked_softmax_grad, (probs, dy)),
+        (kernels.layer_norm, _plain_layer_norm, (x, gamma, beta, 1e-5)),
+        (kernels.layer_norm_grad, _plain_layer_norm_grad, (dy, gamma, xhat, rstd)),
+        (kernels.gelu, _plain_gelu, (x,)),
+        (kernels.gelu_grad, _plain_gelu_grad, (dy, x)),
+    ]
+
+
+def _as_tuple(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("rows", [1, 49])
+@pytest.mark.parametrize("width", [8, 32, 128])
+def test_kernels_bitwise_equal_plain_expressions(rows, width):
+    for kernel, plain, args in _kernel_cases(rows, width):
+        got, want = _as_tuple(kernel(*args)), _as_tuple(plain(*args))
+        assert len(got) == len(want), kernel.__name__
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), kernel.__name__
+
+
+@pytest.mark.parametrize("rows", [1, 49])
+def test_kernels_leave_their_arguments_unchanged(rows):
+    for kernel, _, args in _kernel_cases(rows, 32):
+        before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        result = _as_tuple(kernel(*args))
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b), kernel.__name__
+        for r in result:  # no result is a view of an argument
+            assert not any(np.shares_memory(r, a) for a in args
+                           if isinstance(a, np.ndarray)), kernel.__name__

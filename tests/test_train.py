@@ -192,6 +192,61 @@ class TestTrainLoop:
             train(init_parameters(config, 1), config, tcfg, ds, {}, vocab)
 
 
+def test_seeded_dual_training_reproduces_recorded_values():
+    """A guard for speed changes that must keep every output: 2 epochs of a
+    2-layer dual model with dropout 0.1, gamma 0.5 and a dev split, and one
+    dropout-on forward pass of the returned parameters, against values
+    recorded from the plain (one temporary per operation) kernels and
+    one-draw-per-mask dropout."""
+    ds, vocab = _memo_dataset(n=20)
+    for i in range(16, 20):
+        ds.split_assignment[f"m{i}"] = "dev"
+    config = ModelConfig(vocab_size=len(vocab), max_seq_len=16, model_dim=16, num_layers=2,
+                         num_heads=2, ffn_dim=32, num_cross_heads=2, dropout_rate=0.1)
+    tcfg = TrainConfig(epochs=2, gamma=0.5, batch_size=4, rng_seed=5)
+    aug = {r.id: FULL_AUG for r in ds.records}
+    best, state, _ = train(init_parameters(config, 4), config, tcfg, ds, aug, vocab)
+    enc = encode_input(ds.records[0], FULL_AUG, vocab, config, ALL_KINDS)
+    out = forward(best, config, enc.seq1, enc.seq2, dropout_enabled=True, rng_seed=9).outputs
+
+    def pinned(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
+
+    pinned(state.loss_history, [0.3489336440453829, 0.25622515006147684])
+    pinned(state.dev_spearman_history, [-0.13333333333333333, -0.3333333333333333])
+    pinned(out, [0.1419813290468829, 0.14427936155541488, 0.12262468605001356])
+
+
+def test_each_record_and_kind_set_is_encoded_once(monkeypatch):
+    ds, vocab = _memo_dataset()
+    config = _memo_config(vocab)
+    calls = []
+
+    def counting(record, aug, vocab, config, kinds):
+        calls.append((record.id, frozenset(kinds)))
+        return encode_input(record, aug, vocab, config, kinds)
+
+    monkeypatch.setattr(train_mod, "encode_input", counting)
+    aug = {r.id: FULL_AUG for r in ds.records}
+    tcfg = TrainConfig(epochs=3, gamma=0.5, rng_seed=0)
+    train(init_parameters(config, 1), config, tcfg, ds, aug, vocab)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 * len(ds.split("train"))  # with and without similar-quality
+
+
+def test_truncated_tokens_count_every_visit():
+    ds, vocab = _memo_dataset(n=8)
+    config = ModelConfig(vocab_size=len(vocab), max_seq_len=8, model_dim=16, num_layers=1,
+                         num_heads=2, ffn_dim=32, num_cross_heads=2, dropout_rate=0.0)
+    aug = {r.id: FULL_AUG for r in ds.records}
+    per_epoch = sum(encode_input(r, FULL_AUG, vocab, config, ALL_KINDS).truncated_tokens
+                    for r in ds.split("train"))
+    assert per_epoch > 0
+    tcfg = TrainConfig(epochs=3, gamma=1.0, rng_seed=0)
+    _, state, _ = train(init_parameters(config, 1), config, tcfg, ds, aug, vocab)
+    assert state.truncated_tokens == 3 * per_epoch
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     ds, vocab = _memo_dataset()
     config = _memo_config(vocab)
