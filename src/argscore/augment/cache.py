@@ -1,11 +1,24 @@
-"""Content-addressed prompt/response cache: one JSON file per key."""
+"""Content-addressed prompt/response cache: one JSON file per key.
+
+A lookup is one ``open`` and one ``read`` of the entry file, and a missing
+file is the miss, so there is no existence probe and no gap between a probe
+and the read. Every hit is decoded and checked from the bytes on disk (a JSON
+object with string fields, the stored prompt equal to the one asked for, a
+non-blank response); nothing is kept in memory between lookups.
+
+Each write goes to a temporary file of its own in the cache directory,
+``<key>.<random hex>.tmp``, which is published with an atomic rename and
+removed if the write fails. Writers of one key, in one process or many,
+never share a temporary file, and a reader sees either no entry or a whole one.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import threading
+import uuid
 from pathlib import Path
 
 
@@ -17,13 +30,12 @@ class CacheCorrupt(ValueError):
 
 class PromptCache:
     """Keys are sha256 over (kind, model, temperature, prompt); reads verify
-    the stored prompt so a hash collision can never return a foreign response.
-    Writes go through a single lock and an atomic rename."""
+    the stored prompt so a hash collision can never return a foreign response."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
+        self._dir = str(self.directory)
 
     @staticmethod
     def key(kind: str, prompt: str, model: str, temperature: float) -> str:
@@ -35,11 +47,14 @@ class PromptCache:
 
     def get(self, key: str, prompt: str) -> tuple[str, str] | None:
         """The stored response and its ``created_at``, or None on a miss."""
-        path = self.path_for(key)
-        if not path.exists():
+        path = os.path.join(self._dir, key)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CacheCorrupt(path, str(exc))
         fields = ("prompt", "response", "created_at")
@@ -69,11 +84,17 @@ class PromptCache:
             "temperature": temperature,
             "created_at": created_at,
         }
-        path = self.path_for(key)
-        tmp = path.with_name(key + ".tmp")
-        with self._write_lock:
-            tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
+        data = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        path = os.path.join(self._dir, key)
+        tmp = os.path.join(self._dir, f"{key}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     def __len__(self) -> int:
         return sum(1 for p in self.directory.iterdir() if not p.name.endswith(".tmp"))

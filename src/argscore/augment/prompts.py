@@ -3,10 +3,16 @@
 Templates are fixed text; rendering only substitutes the topic, argument, and
 (for the similar-quality strategy) gold scores plus the bundled ten-exemplar
 few-shot pool. Rendering is pure: same inputs, same bytes.
+
+The exemplar section of a similar-quality prompt depends on the pool alone, so
+it is rendered once per distinct pool content (memoised on the tuple of frozen
+exemplars, not on the pool object) and each prompt appends the record's own
+block to it. The memo holds only pure results, so rendering stays pure.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -104,6 +110,14 @@ def _score_block(cogency: float, effectiveness: float, reasonableness: float,
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _exemplar_section(pool: tuple[FewShotExemplar, ...]) -> str:
+    return "\n\n".join(
+        _score_block(ex.cogency, ex.effectiveness, ex.reasonableness, ex.topic, ex.argument)
+        for ex in pool
+    )
+
+
 def render_prompt(
     kind: AugmentationKind,
     record: ArgumentRecord,
@@ -114,12 +128,10 @@ def render_prompt(
             raise MissingLabels(f"record {record.id!r} has no gold scores")
         if not exemplars:
             raise MissingExemplars("similar-quality prompts need exemplars")
-        blocks = [
-            _score_block(ex.cogency, ex.effectiveness, ex.reasonableness, ex.topic, ex.argument)
-            for ex in exemplars
-        ]
-        blocks.append(
-            _score_block(
+        return (
+            _exemplar_section(tuple(exemplars))
+            + "\n\n"
+            + _score_block(
                 record.labels.cogency,
                 record.labels.effectiveness,
                 record.labels.reasonableness,
@@ -129,7 +141,6 @@ def render_prompt(
             + "\n"
             + SIMILAR_QUALITY_INSTRUCTION
         )
-        return "\n\n".join(blocks)
     if exemplars is not None:
         raise ValueError(f"exemplars are only used for similar_quality, not {kind.value}")
     if kind is AugmentationKind.FEEDBACK:

@@ -1,5 +1,6 @@
 """Prompt rendering against the frozen golden files plus structural checks."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,12 @@ from argscore.augment import (
     load_exemplars,
     render_prompt,
 )
-from argscore.augment.prompts import format_score, validate_exemplar_pool
+from argscore.augment.prompts import (
+    SIMILAR_QUALITY_INSTRUCTION,
+    _score_block,
+    format_score,
+    validate_exemplar_pool,
+)
 from argscore.corpus import ArgumentRecord, QualityScores
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -90,11 +96,14 @@ def test_similar_quality_includes_all_ten_exemplars_in_template_order():
 
 
 def test_similar_quality_requires_labels_and_exemplars():
+    pool = load_exemplars()
+    render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=pool)  # pool memoised
     unlabeled = ArgumentRecord(id="u", topic="T", argument="A")
     with pytest.raises(MissingLabels):
-        render_prompt(AugmentationKind.SIMILAR_QUALITY, unlabeled, exemplars=load_exemplars())
-    with pytest.raises(MissingExemplars):
-        render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=[])
+        render_prompt(AugmentationKind.SIMILAR_QUALITY, unlabeled, exemplars=pool)
+    for empty in ([], (), None):
+        with pytest.raises(MissingExemplars):
+            render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=empty)
     with pytest.raises(ValueError):
         render_prompt(AugmentationKind.FEEDBACK, GOLDEN_RECORD, exemplars=load_exemplars())
 
@@ -123,3 +132,44 @@ def test_exemplar_pool_validation_rejects_bad_pools():
         validate_exemplar_pool(bad)
     with pytest.raises(ValueError):
         validate_exemplar_pool([])
+
+
+def _reference_similar_quality(record, exemplars):
+    """The similar-quality body built block by block, with no memo."""
+    blocks = [
+        _score_block(ex.cogency, ex.effectiveness, ex.reasonableness, ex.topic, ex.argument)
+        for ex in exemplars
+    ]
+    blocks.append(
+        _score_block(
+            record.labels.cogency,
+            record.labels.effectiveness,
+            record.labels.reasonableness,
+            record.topic,
+            record.argument,
+        )
+        + "\n"
+        + SIMILAR_QUALITY_INSTRUCTION
+    )
+    return "\n\n".join(blocks)
+
+
+def test_similar_quality_equals_block_by_block_rendering():
+    bundled = load_exemplars()
+    changed = list(bundled)
+    changed[3] = dataclasses.replace(changed[3], effectiveness=2.5)
+    # a list pool and a tuple pool of the same exemplars give the same bytes
+    for pool in (bundled, tuple(bundled), changed):
+        rendered = render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=pool)
+        assert rendered == _reference_similar_quality(GOLDEN_RECORD, pool)
+
+
+def test_changing_a_pool_in_place_changes_the_prompt():
+    pool = load_exemplars()
+    before = render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=pool)
+    pool[0] = dataclasses.replace(pool[0], argument="a rewritten exemplar argument")
+    after = render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=pool)
+    assert after != before
+    assert after == _reference_similar_quality(GOLDEN_RECORD, pool)
+    assert "a rewritten exemplar argument" in after
+

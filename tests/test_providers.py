@@ -1,6 +1,7 @@
 """Providers, cache behavior, and the generation pipeline."""
 
 import json
+import os
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -105,6 +106,73 @@ class TestCache:
         (tmp_path / key).write_text(entry.replace('"p"', json.dumps(prompt), 1))
         with pytest.raises(CacheCorrupt):
             generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+
+    def test_every_hit_is_read_and_checked_again(self, tmp_path):
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+        cache.put(key, "feedback", "p", "response", "mock", 0.0, EPOCH_TIMESTAMP)
+        assert cache.get(key, "p") == ("response", EPOCH_TIMESTAMP)
+        entry = {"prompt": "another prompt", "response": "r", "created_at": EPOCH_TIMESTAMP}
+        (tmp_path / key).write_text(json.dumps(entry), encoding="utf-8")
+        with pytest.raises(CacheCorrupt, match="stored prompt does not match key"):
+            cache.get(key, "p")
+
+    def test_deleted_entry_is_a_miss_and_asked_again(self, tmp_path):
+        record = make_record()
+        cache = PromptCache(tmp_path)
+        first = generate(record, {AugmentationKind.FEEDBACK}, MockProvider(), cache=cache)
+        key = first.metadata["feedback"].prompt_hash
+        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
+        assert cache.get(key, prompt) is not None
+        (tmp_path / key).unlink()
+        assert cache.get(key, prompt) is None
+        provider = MockProvider()
+        generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+        assert provider.requests_made == 1
+
+    def test_invalid_utf8_is_corrupt(self, tmp_path):
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+        (tmp_path / key).write_bytes(b'{"prompt": "p\xff", "response": "r", "created_at": "t"}')
+        with pytest.raises(CacheCorrupt, match="utf-8"):
+            cache.get(key, "p")
+
+    def test_directory_at_key_path_is_os_error(self, tmp_path):
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+        (tmp_path / key).mkdir()
+        with pytest.raises(OSError):
+            cache.get(key, "p")
+
+    def test_writers_of_one_key_use_their_own_temp_files(self, tmp_path, monkeypatch):
+        # a second cache on the same directory writes the key while the
+        # first is inside its rename
+        first, second = PromptCache(tmp_path), PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+        real_replace = os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            second.put(key, "feedback", "p", "second", "mock", 0.0, "t2")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        first.put(key, "feedback", "p", "first", "mock", 0.0, "t1")
+        assert second.get(key, "p") == ("first", "t1")  # the last rename wins
+        assert os.listdir(tmp_path) == [key] and len(second) == 1
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put(key, "feedback", "p", "response", "mock", 0.0, EPOCH_TIMESTAMP)
+        assert os.listdir(tmp_path) == []
+        assert cache.get(key, "p") is None
 
 
 class TestGenerate:
