@@ -120,24 +120,20 @@ def generate(
 ) -> AugmentationSet:
     """Produce the requested texts for one record, reusing cached responses.
 
-    For every requested kind the prompt is rendered, looked up in the cache by
-    content hash, and only on a miss sent to the provider; the response is
-    persisted before returning. A hit's metadata carries the time its entry
-    was written. A reply that is not a non-blank string, from any provider,
-    raises ``ProviderError`` (status 0) before it is cached. Provider failures
-    propagate and leave the cache untouched.
+    Every requested prompt is rendered first, so one that ``render_prompt``
+    cannot render raises before anything is sent or cached. Each prompt is
+    then looked up in the cache by content hash, and only on a miss sent to
+    the provider; the response is persisted before returning. A hit's metadata
+    carries the time its entry was written. A reply that is not a non-blank
+    string, from any provider, raises ``ProviderError`` (status 0) before it
+    is cached. Provider failures propagate and leave the cache untouched.
     """
     requested = set(kinds)
+    rendered = {kind: render_prompt(kind, record, exemplars)
+                for kind in KIND_ORDER if kind in requested}
     texts: dict[str, str] = {}
     metadata: dict[str, GenerationMetadata] = {}
-    for kind in KIND_ORDER:
-        if kind not in requested:
-            continue
-        if kind is AugmentationKind.SIMILAR_QUALITY:
-            pool = exemplars if exemplars is not None else load_exemplars()
-            prompt = render_prompt(kind, record, exemplars=pool)
-        else:
-            prompt = render_prompt(kind, record)
+    for kind, prompt in rendered.items():
         key = PromptCache.key(kind.value, prompt, provider.model_name, provider.temperature)
         hit = cache.get(key, prompt) if cache is not None else None
         if hit is not None:

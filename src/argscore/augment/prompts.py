@@ -59,24 +59,25 @@ class FewShotExemplar:
     argument: str
 
 
-FEEDBACK_TEMPLATE = (
-    "Give concise writing feedback for the following argument in context with the topic, "
-    "preferably in bullet points:\n"
-    "Topic: {topic}\n"
-    "Argument: {argument}."
-)
-
-ASSUMPTIONS_TEMPLATE = (
-    'Summarize the assumptions, if any, in the following argument in a bullet format '
-    'otherwise return "No assumptions"\n'
-    "Topic: {topic}\n"
-    "Argument: {argument}."
-)
-
-COUNTER_ARGUMENT_TEMPLATE = (
-    "Give a counter-argument for the following argument with respect to the Topic: {topic}\n"
-    "Argument: {argument}"
-)
+# the zero-shot prompts, which read only the topic and the argument
+ZERO_SHOT_TEMPLATES = {
+    AugmentationKind.FEEDBACK: (
+        "Give concise writing feedback for the following argument in context with the topic, "
+        "preferably in bullet points:\n"
+        "Topic: {topic}\n"
+        "Argument: {argument}."
+    ),
+    AugmentationKind.ASSUMPTIONS: (
+        'Summarize the assumptions, if any, in the following argument in a bullet format '
+        'otherwise return "No assumptions"\n'
+        "Topic: {topic}\n"
+        "Argument: {argument}."
+    ),
+    AugmentationKind.COUNTER_ARGUMENT: (
+        "Give a counter-argument for the following argument with respect to the Topic: {topic}\n"
+        "Argument: {argument}"
+    ),
+}
 
 SCORE_BLOCK_TEMPLATE = (
     "Cogency Score: {cogency}\n"
@@ -123,35 +124,29 @@ def render_prompt(
     record: ArgumentRecord,
     exemplars: Optional[Sequence[FewShotExemplar]] = None,
 ) -> str:
-    if kind is AugmentationKind.SIMILAR_QUALITY:
-        if record.labels is None:
-            raise MissingLabels(f"record {record.id!r} has no gold scores")
-        if not exemplars:
-            raise MissingExemplars("similar-quality prompts need exemplars")
-        return (
-            _exemplar_section(tuple(exemplars))
-            + "\n\n"
-            + _score_block(
-                record.labels.cogency,
-                record.labels.effectiveness,
-                record.labels.reasonableness,
-                record.topic,
-                record.argument,
-            )
-            + "\n"
-            + SIMILAR_QUALITY_INSTRUCTION
+    """The prompt for one kind of context text about ``record``. Every kind
+    takes the pool, but only the similar-quality prompt reads it and the gold
+    scores: it raises ``MissingLabels`` without scores and ``MissingExemplars``
+    without a non-empty pool."""
+    if kind is not AugmentationKind.SIMILAR_QUALITY:
+        return ZERO_SHOT_TEMPLATES[kind].format(topic=record.topic, argument=record.argument)
+    if record.labels is None:
+        raise MissingLabels(f"record {record.id!r} has no gold scores")
+    if not exemplars:
+        raise MissingExemplars("similar-quality prompts need exemplars")
+    return (
+        _exemplar_section(tuple(exemplars))
+        + "\n\n"
+        + _score_block(
+            record.labels.cogency,
+            record.labels.effectiveness,
+            record.labels.reasonableness,
+            record.topic,
+            record.argument,
         )
-    if exemplars is not None:
-        raise ValueError(f"exemplars are only used for similar_quality, not {kind.value}")
-    if kind is AugmentationKind.FEEDBACK:
-        template = FEEDBACK_TEMPLATE
-    elif kind is AugmentationKind.ASSUMPTIONS:
-        template = ASSUMPTIONS_TEMPLATE
-    elif kind is AugmentationKind.COUNTER_ARGUMENT:
-        template = COUNTER_ARGUMENT_TEMPLATE
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown kind {kind}")
-    return template.format(topic=record.topic, argument=record.argument)
+        + "\n"
+        + SIMILAR_QUALITY_INSTRUCTION
+    )
 
 
 def validate_exemplar_pool(pool: Sequence[FewShotExemplar]) -> None:

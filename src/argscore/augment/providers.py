@@ -1,5 +1,5 @@
 """Completion providers: a chat-completions HTTP client, a seeded offline mock,
-and a canned lookup provider for tests and synthetic pipelines.
+and a canned per-kind provider for tests and synthetic pipelines.
 
 The HTTP client uses only the standard library (``urllib.request``). Each
 request opens its own connection, HTTPS certificates are checked against the
@@ -218,20 +218,17 @@ class MockProvider:
 
 
 class CannedProvider:
-    """Serves pre-registered responses keyed by the sha256 of the rendered prompt."""
+    """Serves one pre-registered response per kind, whatever the prompt; a
+    kind without one raises ``ProviderError`` 404."""
 
     name = "canned"
     model_name = "canned"
     temperature = 0.0
 
-    def __init__(self, responses: dict[str, str]):
+    def __init__(self, responses: dict[AugmentationKind, str]):
         self.responses = responses
         self.requests_made = 0
         self._lock = threading.Lock()
-
-    @staticmethod
-    def prompt_key(prompt: str) -> str:
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
     def timestamp(self) -> str:
         return EPOCH_TIMESTAMP
@@ -239,7 +236,6 @@ class CannedProvider:
     def complete(self, kind: AugmentationKind, prompt: str) -> str:
         with self._lock:
             self.requests_made += 1
-        key = self.prompt_key(prompt)
-        if key not in self.responses:
-            raise ProviderError(404, f"no canned response for {kind.value} prompt {key[:12]}")
-        return self.responses[key]
+        if kind not in self.responses:
+            raise ProviderError(404, f"no canned {kind.value} response")
+        return self.responses[kind]

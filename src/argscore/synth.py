@@ -33,7 +33,6 @@ from argscore.augment import (
     PromptCache,
     generate,
     load_exemplars,
-    render_prompt,
     vocab_texts,
 )
 from argscore.corpus import ArgumentRecord, Dataset, QualityScores
@@ -153,22 +152,18 @@ def planted_text(kind: AugmentationKind, record: ArgumentRecord, rng: np.random.
 def build_augmentations(
     dataset: Dataset, seed: int, cache_dir: Optional[Path] = None
 ) -> dict[str, AugmentationSet]:
-    """Plant the responses, then run the regular generation pipeline against a
-    canned provider so caching and prompt rendering are exercised for real."""
+    """Plant each record's four texts, then run the regular generation
+    pipeline against a canned provider that serves them, so caching and prompt
+    rendering are exercised for real. No prompt is rendered outside
+    ``generate``, which renders each once."""
     exemplars = load_exemplars()
-    responses: dict[str, str] = {}
+    cache = PromptCache(cache_dir) if cache_dir is not None else None
+    sets = {}
     for i, rec in enumerate(dataset.records):
         rec_rng = np.random.default_rng(derive_seed(seed, 10, i))
-        for kind in KIND_ORDER:
-            pool = exemplars if kind is AugmentationKind.SIMILAR_QUALITY else None
-            prompt = render_prompt(kind, rec, exemplars=pool)
-            responses[CannedProvider.prompt_key(prompt)] = planted_text(kind, rec, rec_rng)
-    provider = CannedProvider(responses)
-    cache = PromptCache(cache_dir) if cache_dir is not None else None
-    return {
-        rec.id: generate(rec, KIND_ORDER, provider, cache=cache, exemplars=exemplars)
-        for rec in dataset.records
-    }
+        provider = CannedProvider({kind: planted_text(kind, rec, rec_rng) for kind in KIND_ORDER})
+        sets[rec.id] = generate(rec, KIND_ORDER, provider, cache=cache, exemplars=exemplars)
+    return sets
 
 
 def run_experiment(

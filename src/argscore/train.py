@@ -68,12 +68,20 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ValueError("learning_rate and grad_clip_norm must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
+        if not self.grad_clip_norm > 0:
+            raise ValueError("grad_clip_norm must be positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        self.adam_betas = tuple(self.adam_betas)
+        if not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
+            raise ValueError("adam_betas must each lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         self.active_kinds = frozenset(
             AugmentationKind(k) if isinstance(k, str) else k for k in self.active_kinds
         )
-        self.adam_betas = tuple(self.adam_betas)
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import pkgutil
 from importlib import resources
@@ -149,6 +151,62 @@ def _error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize("flags, train, setting", [
+    pytest.param(["--epochs", "-3"], {}, "epochs", id="negative-epochs"),
+    pytest.param([], {"adam_betas": [1.0, 0.999]}, "adam_betas", id="beta1-one"),
+    pytest.param([], {"adam_betas": [0.9, -0.5]}, "adam_betas", id="beta2-negative"),
+    pytest.param([], {"adam_eps": 0.0}, "adam_eps", id="eps-zero"),
+    pytest.param([], {"adam_eps": -1.0}, "adam_eps", id="eps-negative"),
+    pytest.param([], {"learning_rate": float("nan")}, "learning_rate", id="rate-nan"),
+    pytest.param([], {"learning_rate": float("inf")}, "learning_rate", id="rate-infinite"),
+    pytest.param([], {"grad_clip_norm": float("nan")}, "grad_clip_norm", id="clip-nan"),
+])
+def test_untrainable_train_setting_is_one_error_line(tmp_path, tiny_dataset, capsys,
+                                                     flags, train, setting):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"train": train}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--dataset", str(data), "--no-augs",
+                     "--out", str(out), *flags]) == 1
+    assert setting in _error_line(capsys)
+    assert not (out / "diagnostics.json").exists()
+    assert not (out / "checkpoint").exists()
+
+
+def test_single_score_file_is_scored_on_wa_across_corpora(tmp_path, tiny_dataset, capsys):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"max_seq_len": 16, "model_dim": 16, "num_layers": 1, "num_heads": 2,
+                  "ffn_dim": 32, "num_cross_heads": 2},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--dataset", str(data), "--no-augs",
+                     "--epochs", "1", "--out", str(out)]) == 0
+    other = tmp_path / "other.csv"
+    other.write_text("id,topic,argument,wa\n"
+                     "w0,city parks,parks help people relax,0.2\n"
+                     "w1,city parks,evidence shows costs fall,0.9\n"
+                     "w2,school uniforms,uniforms should change,0.5\n"
+                     "w3,school uniforms,people support plans because growth,0.7\n",
+                     encoding="utf-8")
+    report_dir = tmp_path / "report"
+    assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint"), "--dataset", str(other),
+                     "--split", "all", "--out", str(report_dir)]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(
+        (report_dir / "report.csv").read_text(encoding="utf-8"))))
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["split"] == "all" and row["n"] == "4"
+    assert row["wa_s"] and row["wa_p"]
+    for head in ("cogency", "effectiveness", "reasonableness"):
+        assert row[f"{head}_s"] == "" and row[f"{head}_p"] == ""
 
 
 def test_header_only_dataset_exits_one(tmp_path, capsys):

@@ -104,8 +104,17 @@ def test_similar_quality_requires_labels_and_exemplars():
     for empty in ([], (), None):
         with pytest.raises(MissingExemplars):
             render_prompt(AugmentationKind.SIMILAR_QUALITY, GOLDEN_RECORD, exemplars=empty)
-    with pytest.raises(ValueError):
-        render_prompt(AugmentationKind.FEEDBACK, GOLDEN_RECORD, exemplars=load_exemplars())
+
+
+@pytest.mark.parametrize("kind", [
+    AugmentationKind.FEEDBACK, AugmentationKind.ASSUMPTIONS, AugmentationKind.COUNTER_ARGUMENT,
+])
+def test_only_similar_quality_reads_the_pool_and_labels(kind):
+    unlabeled = ArgumentRecord(id="u", topic=GOLDEN_RECORD.topic, argument=GOLDEN_RECORD.argument)
+    expected = render_prompt(kind, GOLDEN_RECORD)
+    for pool in (load_exemplars(), [], None):
+        assert render_prompt(kind, GOLDEN_RECORD, exemplars=pool) == expected
+        assert render_prompt(kind, unlabeled, exemplars=pool) == expected
 
 
 def test_rendering_is_pure():

@@ -14,6 +14,7 @@ from argscore.augment import (
     CannedProvider,
     HttpProvider,
     KIND_ORDER,
+    MissingExemplars,
     MockProvider,
     NO_ASSUMPTIONS,
     PromptCache,
@@ -21,6 +22,7 @@ from argscore.augment import (
     ProviderError,
     ProviderTimeout,
     generate,
+    load_exemplars,
     read_augmentations,
     render_prompt,
     write_augmentations,
@@ -178,18 +180,17 @@ class TestCache:
 class TestGenerate:
     def test_cache_hit_issues_no_request(self, tmp_path):
         record = make_record()
-        cache = PromptCache(tmp_path)
-        first = generate(record, KIND_ORDER, MockProvider(seed=5), cache=cache)
+        cache, pool = PromptCache(tmp_path), load_exemplars()
+        first = generate(record, KIND_ORDER, MockProvider(seed=5), cache=cache, exemplars=pool)
         provider = MockProvider(seed=5)
-        second = generate(record, KIND_ORDER, provider, cache=cache)
+        second = generate(record, KIND_ORDER, provider, cache=cache, exemplars=pool)
         assert provider.requests_made == 0
         for kind in KIND_ORDER:
             assert first.get(kind) == second.get(kind)
 
     def test_canned_map(self):
         record = make_record()
-        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
-        provider = CannedProvider({CannedProvider.prompt_key(prompt): "- point"})
+        provider = CannedProvider({AugmentationKind.FEEDBACK: "- point"})
         result = generate(record, {AugmentationKind.FEEDBACK}, provider)
         assert result.feedback == "- point"
         assert result.assumptions is None
@@ -197,6 +198,19 @@ class TestGenerate:
     def test_canned_miss_is_provider_error(self):
         with pytest.raises(ProviderError):
             generate(make_record(), {AugmentationKind.FEEDBACK}, CannedProvider({}))
+
+    def test_canned_provider_without_a_kind_is_a_404(self):
+        provider = CannedProvider({AugmentationKind.FEEDBACK: "- point"})
+        with pytest.raises(ProviderError, match="no canned assumptions response") as err:
+            generate(make_record(), KIND_ORDER, provider, exemplars=load_exemplars())
+        assert err.value.status == 404
+
+    def test_similar_quality_without_a_pool_sends_and_caches_nothing(self, tmp_path):
+        cache, provider = PromptCache(tmp_path), MockProvider()
+        for kinds in ({AugmentationKind.SIMILAR_QUALITY}, KIND_ORDER):
+            with pytest.raises(MissingExemplars):
+                generate(make_record(), kinds, provider, cache=cache)
+        assert provider.requests_made == 0 and len(cache) == 0
 
     def test_metadata_recorded(self, tmp_path):
         record = make_record()
@@ -227,8 +241,7 @@ class TestGenerate:
 
     def test_blank_reply_is_provider_error_and_not_cached(self, tmp_path):
         record = make_record()
-        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
-        provider = CannedProvider({CannedProvider.prompt_key(prompt): " \n"})
+        provider = CannedProvider({AugmentationKind.FEEDBACK: " \n"})
         cache = PromptCache(tmp_path)
         for attempt in (1, 2):  # nothing cached, so the provider is asked again
             with pytest.raises(ProviderError, match="blank or non-string feedback reply") as err:
@@ -405,7 +418,8 @@ def test_provider_config_validation(tmp_path):
 
 def test_augmentation_jsonl_roundtrip(tmp_path):
     record = make_record()
-    sets = {record.id: generate(record, KIND_ORDER, MockProvider(seed=2))}
+    sets = {record.id: generate(record, KIND_ORDER, MockProvider(seed=2),
+                                exemplars=load_exemplars())}
     path = tmp_path / "a.jsonl"
     write_augmentations(path, sets)
     back = read_augmentations(path)

@@ -1,7 +1,14 @@
 """The synthetic acceptance experiment at a reduced size."""
 
-from argscore import cli, synth
+import hashlib
+from collections import Counter
+
+from argscore import augment, cli, synth
+from argscore.augment import KIND_ORDER, prompts
 from argscore.train import TrainConfig
+
+# sha256 of the reduced corpus's augmentation file at seed 11: pins every planted text
+REDUCED_AUGMENTATIONS_SHA256 = "851f230a5058a1d56d4a662e302af01da9c69d3d24ef30a93be1204c46648498"
 
 
 def test_reduced_synth_keeps_the_context_gain():
@@ -21,3 +28,22 @@ def test_dry_run_plans_every_run(capsys):
     planned = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("planned: train+evaluate")]
     assert [line.split()[2] for line in planned] == [label for label, _, _ in synth.RUNS]
+
+
+def test_reduced_synth_plants_the_same_texts_rendering_each_prompt_once(tmp_path, monkeypatch):
+    renders = Counter()
+    render = prompts.render_prompt
+
+    def counting(kind, record, exemplars=None):
+        renders[record.id, kind] += 1
+        return render(kind, record, exemplars)
+
+    monkeypatch.setattr(augment, "render_prompt", counting)
+    monkeypatch.setattr(prompts, "render_prompt", counting)
+    monkeypatch.setattr(synth, "render_prompt", counting, raising=False)  # any rendering of its own
+    dataset = synth.make_records(11, 96, 24, 48)
+    path = tmp_path / "augmentations.jsonl"
+    augment.write_augmentations(path, synth.build_augmentations(dataset, 11))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REDUCED_AUGMENTATIONS_SHA256
+    assert renders == Counter({(rec.id, kind): 1 for rec in dataset.records
+                               for kind in KIND_ORDER})
