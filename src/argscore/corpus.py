@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -297,8 +298,10 @@ def assign_splits(
     land within one record of the exact proportions and the assignment depends
     only on (id set, split_seed, ratios).
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidRatios(f"ratios must be three non-negative reals summing to 1, got {ratios}")
+    if (len(ratios) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise InvalidRatios(
+            f"ratios must be three finite non-negative reals summing to 1, got {ratios}")
     ids = [r.id for r in dataset.records]
     n = len(ids)
 

@@ -17,9 +17,11 @@ checkpoint: saving over it raises ``CheckpointError`` and leaves it untouched.
 A load raises ``CheckpointError`` on an unreadable manifest, an unsupported
 format version, a config that ``jsonobj.from_json`` or ``ModelConfig`` rejects
 (a float ``num_layers``, say), a vocabulary whose hash differs from the
-manifest's or whose size differs from ``config.vocab_size``, and a
-``params.bin`` whose length is not the config's parameter count. The file is
-read in one call into the ``flat`` vector of the loaded ``ModelParameters``.
+manifest's or whose size differs from ``config.vocab_size``, a
+``params.bin`` whose length is not the config's parameter count, and a
+``params.bin`` holding a NaN or infinite value (the error names the first
+tensor that holds one). The file is read in one call into the ``flat`` vector
+of the loaded ``ModelParameters``.
 """
 
 from __future__ import annotations
@@ -111,4 +113,8 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig
         flat = np.fromfile(params_path, dtype=_DTYPE).astype(np.float64, copy=False)
     except OSError as exc:
         raise CheckpointError(f"unreadable {params_path}: {exc}")
-    return ModelParameters(flat, shapes), config, vocab
+    params = ModelParameters(flat, shapes)
+    if not np.isfinite(flat).all():
+        name = next(n for n, arr in params.items() if not np.isfinite(arr).all())
+        raise CheckpointError(f"{params_path} holds a non-finite value in tensor {name}")
+    return params, config, vocab

@@ -103,20 +103,80 @@ def apply_masking(active: frozenset, gamma: float, rng: np.random.Generator) -> 
     return active - {AugmentationKind.SIMILAR_QUALITY}
 
 
+@dataclass
+class RowMoments:
+    """Adam moments of the rows of one token-embedding table whose gradient
+    has been nonzero at some step: ``m[i]`` and ``v[i]`` belong to table row
+    ``rows[i]``, in the order the rows were first hit."""
+
+    rows: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+
+
 class AdamOptimizer:
+    """Adam (Kingma & Ba, arXiv:1412.6980) on ``params.flat``, bitwise equal
+    to one ``kernels.adam_update`` over it with full-size moments, but keeping
+    moments only where they can be nonzero.
+
+    Adam leaves an element whose gradient, m and v are all zero as it is: m
+    and v stay zero, and ``p - lr * 0 / (sqrt(0) + eps)`` is ``p`` bitwise. A
+    row of a token-embedding table (``*.tok_emb``) has a nonzero gradient only
+    in a batch that holds its token, so until then its moments are zero and
+    skipping it is exact. Each table therefore has a ``RowMoments`` for the
+    rows whose gradient has been nonzero at some step, grown when a row is
+    first hit; those rows are updated on every later step, as dense Adam
+    updates them (with g = 0 their moments decay). The other tensors keep
+    dense moments in ``m`` and ``v``, laid out as ``flat`` is without the
+    tables, and are updated run by run between the tables."""
+
     def __init__(self, params: ModelParameters, tcfg: TrainConfig):
-        self.m = np.zeros_like(params.flat)
-        self.v = np.zeros_like(params.flat)
         self.t = 0
         self.beta1, self.beta2 = tcfg.adam_betas
         self.eps = tcfg.adam_eps
+        self.tables: dict[str, RowMoments] = {}
+        spans = []  # (start, stop) of each table in flat
+        offset = 0
+        for name, shape in params.shapes.items():
+            size = math.prod(shape)
+            if name.endswith(".tok_emb"):
+                empty = np.empty((0, shape[1]))
+                self.tables[name] = RowMoments(np.empty(0, dtype=np.intp), empty, empty)
+                spans.append((offset, offset + size))
+            offset += size
+        self.runs: list[tuple[slice, slice]] = []  # (in flat, in m and v)
+        start = dense = 0
+        for stop, after in spans + [(offset, offset)]:
+            if stop > start:
+                self.runs.append((slice(start, stop), slice(dense, dense + stop - start)))
+                dense += stop - start
+            start = after
+        self.m = np.zeros(dense)
+        self.v = np.zeros(dense)
 
     def step(self, params: ModelParameters, grads: ModelParameters, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        kernels.adam_update(params.flat, grads.flat, self.m, self.v,
-                            lr, self.beta1, self.beta2, self.eps, bc1, bc2)
+        hyper = (lr, self.beta1, self.beta2, self.eps, bc1, bc2)
+        for run, moments in self.runs:
+            kernels.adam_update(params.flat[run], grads.flat[run],
+                                self.m[moments], self.v[moments], *hyper)
+        for name, table in self.tables.items():
+            p, g = params[name], grads[name]
+            hit = g.any(axis=1)
+            hit[table.rows] = False
+            new = np.flatnonzero(hit)
+            if new.size:
+                zeros = np.zeros((new.size, p.shape[1]))
+                table.rows = np.concatenate([table.rows, new])
+                table.m = np.concatenate([table.m, zeros])
+                table.v = np.concatenate([table.v, zeros])
+            if table.rows.size:
+                block = p[table.rows]
+                kernels.adam_update(block.ravel(), g[table.rows].ravel(),
+                                    table.m.ravel(), table.v.ravel(), *hyper)
+                p[table.rows] = block
 
 
 def clip_gradients(grads: ModelParameters, max_norm: float) -> float:
@@ -178,7 +238,10 @@ def train(
     two kind sets, so each ``(record, kinds)`` pair is encoded once per call
     and reused on later visits; its ``truncated_tokens`` count on every
     visit. The run allocates its full-size vectors (parameters, best
-    parameters, gradients, Adam moments) once, none per step. The learning
+    parameters, gradients) once, none per step. Adam keeps moments for the
+    tensors that are not token embeddings and, in each token-embedding table,
+    only for the rows that the train split's tokens hit (``AdamOptimizer``),
+    so at default size its moments are a small part of the model. The learning
     rate decays linearly from ``tcfg.learning_rate`` to zero over the run's
     ``epochs * ceil(n_train / batch_size)`` steps.
     Divergence stops training with ``NonFiniteLoss``: an example loss that is

@@ -41,6 +41,17 @@ def test_truncated_params_rejected(tmp_path):
         load_checkpoint(directory)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_params_rejected_naming_the_tensor(tmp_path, value):
+    directory, params, *_ = _saved(tmp_path)
+    name = list(params)[3]
+    params[name].flat[1] = value  # a view of params.flat
+    params[list(params)[-1]].flat[0] = value  # a later tensor is not the one named
+    params.flat.astype("<f8").tofile(directory / "params.bin")
+    with pytest.raises(CheckpointError, match=rf"non-finite value in tensor {name}$"):
+        load_checkpoint(directory)
+
+
 def test_vocab_longer_than_config_rejected(tmp_path):
     directory, *_ = _saved(tmp_path)
     with (directory / "vocab.txt").open("a", encoding="utf-8") as fh:

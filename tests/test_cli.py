@@ -217,6 +217,18 @@ def test_header_only_dataset_exits_one(tmp_path, capsys):
     assert "train split is empty" in _error_line(capsys)
 
 
+def test_nan_split_ratio_exits_one_naming_the_ratios(tmp_path, capsys):
+    data = tmp_path / "nosplits.csv"
+    data.write_text("id,topic,argument,wa\n"
+                    + "".join(f"r{i},city parks,parks help people {i},0.{i}\n" for i in range(10)),
+                    encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"split_ratios": [float("nan"), 0.5, 0.5]}), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--dataset", str(data), "--no-augs",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "ratios" in _error_line(capsys)
+
+
 def _evaluate_args(tmp_path, records, split):
     data = tmp_path / "eval.jsonl"
     write_dataset(Dataset(records=records, split_assignment=split), data)

@@ -272,8 +272,10 @@ class TestAssignSplits:
         assert changed >= 1
 
     def test_invalid_ratios(self):
-        with pytest.raises(InvalidRatios):
-            assign_splits(_dataset_of(10), (0.5, 0.2, 0.2), split_seed=0)
+        nan, inf = float("nan"), float("inf")
+        for ratios in ((0.5, 0.2, 0.2), (nan, 0.5, 0.5), (inf, -inf, 1.0), (inf, 0.0, 0.0)):
+            with pytest.raises(InvalidRatios):
+                assign_splits(_dataset_of(10), ratios, split_seed=0)
 
 
 def test_record_validation():

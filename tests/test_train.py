@@ -13,9 +13,11 @@ from argscore.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from argscore.model import kernels
 from argscore.seeding import stream
 from argscore import train as train_mod
 from argscore.train import (
+    AdamOptimizer,
     NonFiniteLoss,
     TrainConfig,
     apply_masking,
@@ -149,6 +151,9 @@ class TestTrainLoop:
         best, _, optimizer = train(params, config, tcfg, ds, {}, vocab)
         assert np.isfinite(best.flat).all()
         assert np.isfinite(optimizer.m).all() and np.isfinite(optimizer.v).all()
+        assert optimizer.tables["enc1.tok_emb"].rows.size  # no context: enc2 has none
+        for table in optimizer.tables.values():
+            assert np.isfinite(table.m).all() and np.isfinite(table.v).all()
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         ds, vocab = _memo_dataset()
@@ -190,6 +195,71 @@ class TestTrainLoop:
         tcfg = TrainConfig(epochs=1, rng_seed=0, active_kinds=frozenset())
         with pytest.raises(ValueError, match="dev"):
             train(init_parameters(config, 1), config, tcfg, ds, {}, vocab)
+
+
+class TestRowMomentAdam:
+    """``AdamOptimizer`` keeps token-embedding moments only for rows that have
+    had a nonzero gradient, which must be exactly dense Adam."""
+
+    def test_steps_equal_dense_adam_bitwise(self):
+        config = ModelConfig(vocab_size=12, max_seq_len=8, model_dim=8, num_layers=1,
+                             num_heads=2, ffn_dim=16, num_cross_heads=2, mode="dual")
+        params = init_parameters(config, 5)
+        initial = params.copy()
+        reference = params.copy()
+        m_ref = np.zeros_like(params.flat)
+        v_ref = np.zeros_like(params.flat)
+        tcfg = TrainConfig()
+        optimizer = AdamOptimizer(params, tcfg)
+        beta1, beta2 = tcfg.adam_betas
+        rng = np.random.default_rng(0)
+        grads = params.zeros_like()
+        # step -> rows with a nonzero gradient, per table
+        hits = {"enc1.tok_emb": {0: [1], 2: [2], 3: [2, 4], 6: [2]},
+                "enc2.tok_emb": {t: [0] for t in range(10)} | {8: [0, 7]}}
+        never_hit = {"enc1.tok_emb": [0, 3, 5, 6, 7, 8, 9, 10, 11],
+                     "enc2.tok_emb": [1, 2, 3, 4, 5, 6, 8, 9, 10, 11]}
+        for t in range(10):
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            for name, steps in hits.items():
+                grads[name][:] = 0.0
+                for row in steps.get(t, []):
+                    grads[name][row] = rng.normal(size=config.model_dim)
+            grads["enc1.tok_emb"][4, 1:] = 0.0  # a hit row that is mostly zero
+            grads["enc1.tok_emb"][3] = -0.0  # a signed zero is no hit
+            lr = 1e-2 * (1.0 - t / 10)
+            optimizer.step(params, grads, lr)
+            kernels.adam_update(reference.flat, grads.flat, m_ref, v_ref, lr, beta1, beta2,
+                                tcfg.adam_eps, 1.0 - beta1 ** (t + 1), 1.0 - beta2 ** (t + 1))
+            assert np.array_equal(params.flat, reference.flat)
+            assert params.flat.tobytes() == reference.flat.tobytes()
+            for name, rows in never_hit.items():
+                assert params[name][rows].tobytes() == initial[name][rows].tobytes()
+        assert sorted(optimizer.tables["enc1.tok_emb"].rows) == [1, 2, 4]
+        assert sorted(optimizer.tables["enc2.tok_emb"].rows) == [0, 7]
+
+    def test_moments_cover_only_the_rows_training_hits(self):
+        ds, vocab = _memo_dataset()
+        # words the train split never uses make the tables larger than its rows
+        vocab = build_vocab([t for r in ds.records for t in (r.topic, r.argument)]
+                            + ["keep this maybe and too", "unused words only here"], 200)
+        config = _memo_config(vocab)
+        tcfg = TrainConfig(epochs=2, gamma=1.0, rng_seed=0)
+        aug = {r.id: FULL_AUG for r in ds.records}
+        params = init_parameters(config, 1)
+        _, _, optimizer = train(params, config, tcfg, ds, aug, vocab)
+        encoded = [encode_input(r, FULL_AUG, vocab, config, ALL_KINDS) for r in ds.records]
+        used = {"enc1.tok_emb": np.unique(np.concatenate([e.seq1 for e in encoded])),
+                "enc2.tok_emb": np.unique(np.concatenate([e.seq2 for e in encoded]))}
+        d = config.model_dim
+        dense = params.flat.size - sum(params[name].size for name in used)
+        held = optimizer.m.size + optimizer.v.size + sum(
+            table.m.size + table.v.size for table in optimizer.tables.values())
+        hit_rows = sum(rows.size for rows in used.values())
+        assert hit_rows < 2 * config.vocab_size
+        assert held == 2 * (dense + hit_rows * d)
+        for name, rows in used.items():
+            assert sorted(optimizer.tables[name].rows) == rows.tolist()
 
 
 def test_seeded_dual_training_reproduces_recorded_values():
