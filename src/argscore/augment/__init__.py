@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -34,6 +34,7 @@ from argscore.corpus import (
     corpus_texts,
     naming_file,
 )
+from argscore.jsonobj import from_json, to_json
 
 __all__ = [
     "AugmentationKind",
@@ -72,7 +73,7 @@ class GenerationMetadata:
 
 @dataclass(frozen=True)
 class AugmentationSet:
-    """The four generated texts for one record; each is optional."""
+    """The four generated texts for one record, each optional, and their metadata by kind."""
 
     feedback: Optional[str] = None
     assumptions: Optional[str] = None
@@ -85,6 +86,8 @@ class AugmentationSet:
             text = self.get(kind)
             if text is not None and not text.strip():
                 raise ValueError(f"{kind.value} text present but empty")
+        if not self.metadata.keys() <= {kind.value for kind in KIND_ORDER}:
+            raise ValueError(f"metadata keys must be kind names, got {sorted(self.metadata)}")
 
     def get(self, kind: AugmentationKind) -> Optional[str]:
         return getattr(self, kind.value)
@@ -167,43 +170,30 @@ def vocab_texts(dataset: Dataset, sets: dict[str, AugmentationSet]) -> list[str]
 
 
 def write_augmentations(path: str | Path, sets: dict[str, AugmentationSet]) -> None:
-    """One JSON object per record id; absent kinds serialize as null."""
+    """One JSON object per record: its ``id``, then ``jsonobj.to_json`` of its set."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for record_id, aug in sets.items():
-            obj = {"id": record_id, **{kind.value: aug.get(kind) for kind in KIND_ORDER},
-                   "metadata": {k: asdict(m) for k, m in aug.metadata.items()}}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(json.dumps({"id": record_id, **to_json(aug)}, ensure_ascii=False) + "\n")
 
 
-def read_augmentations(path: str | Path) -> dict[str, AugmentationSet]:
-    """Read what ``write_augmentations`` wrote. Each line is an object with a
-    new string ``id``, each of the four kinds as a non-empty string or null,
-    and ``metadata`` mapping kinds to their generation fields; any other line
-    raises ``MalformedRow`` with the file and line number."""
+def read_augmentations(path: str | Path, records: Iterable[ArgumentRecord] = ()
+                       ) -> dict[str, AugmentationSet]:
+    """Read what ``write_augmentations`` wrote: a new string ``id`` per line and
+    an ``AugmentationSet`` that ``jsonobj.from_json`` reads from the rest, else
+    ``MalformedRow`` names the file and line. If a record of ``records`` has no
+    set, ``ValueError`` names the file, how many lack one and the first."""
     sets: dict[str, AugmentationSet] = {}
     with Path(path).open(encoding="utf-8") as fh, naming_file(path):
         for line, obj in _jsonl_rows(fh):
-            if obj["id"] in sets:
-                raise MalformedRow(line, f"duplicate id {obj['id']!r}")
-            sets[obj["id"]] = _augmentation_set(obj, line)
+            record_id = obj.pop("id")
+            if record_id in sets:
+                raise MalformedRow(line, f"duplicate id {record_id!r}")
+            try:
+                sets[record_id] = from_json(AugmentationSet, obj, "augmentation")
+            except ValueError as exc:
+                raise MalformedRow(line, str(exc))
+    missing = [r.id for r in records if r.id not in sets]
+    if missing:
+        raise ValueError(f"{path} has no augmentation set for {len(missing)} of the records "
+                         f"in use, the first {missing[0]!r}")
     return sets
-
-
-_KINDS = tuple(k.value for k in KIND_ORDER)
-
-
-def _augmentation_set(obj: dict, line: int) -> AugmentationSet:
-    unknown = sorted(obj.keys() - {"id", "metadata", *_KINDS})
-    if unknown:
-        raise MalformedRow(line, f"unknown field {unknown[0]!r}")
-    texts = {kind: obj.get(kind) for kind in _KINDS}
-    if any(text is not None and not isinstance(text, str) for text in texts.values()):
-        raise MalformedRow(line, "a context text must be a string or null")
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict) or not metadata.keys() <= set(_KINDS):
-        raise MalformedRow(line, "metadata must map kind names to objects")
-    try:
-        return AugmentationSet(
-            metadata={kind: GenerationMetadata(**m) for kind, m in metadata.items()}, **texts)
-    except (TypeError, ValueError) as exc:  # bad generation fields, or an empty text
-        raise MalformedRow(line, str(exc))

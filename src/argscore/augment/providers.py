@@ -55,10 +55,10 @@ class ProviderConfig:
     def __post_init__(self):
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be > 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 < self.request_timeout < float("inf"):  # false for NaN too
+            raise ValueError("request_timeout must be positive and finite")
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError("temperature must be non-negative and finite")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 

@@ -54,9 +54,6 @@ class RunConfig:
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.split_ratios = tuple(self.split_ratios)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         cfg = from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")), "run")
@@ -140,14 +137,14 @@ def cmd_train(args) -> int:
         return 1
     dataset = corpus_mod.load_dataset(cfg.dataset)
     dataset = _ensure_splits(dataset, cfg)
-    train_mod.check_splits(dataset)
+    train_recs, dev_recs = train_mod.check_splits(dataset)
     augmentations = {}
     if not args.no_augs:
         if not cfg.augmentations:
             print("error: no augmentations file (use --augmentations or --no-augs)",
                   file=sys.stderr)
             return 1
-        augmentations = read_augmentations(cfg.augmentations)
+        augmentations = read_augmentations(cfg.augmentations, train_recs + dev_recs)
 
     vocab = build_vocab(aug_mod.vocab_texts(dataset, augmentations), max_size=cfg.vocab_max_size)
     model_settings = {**cfg.model, "vocab_size": len(vocab)}
@@ -196,8 +193,9 @@ def cmd_evaluate(args) -> int:
     elif not dataset.split_assignment:
         # same seeded assignment train derives for split-less files
         dataset = _ensure_splits(dataset, cfg)
-    augmentations = read_augmentations(cfg.augmentations) if cfg.augmentations else {}
     active = parse_kinds(args.augs)
+    scored = dataset.split(args.split) if active else []  # read with context: each needs a set
+    augmentations = read_augmentations(cfg.augmentations, scored) if cfg.augmentations else {}
 
     row = evaluation.evaluate(params, config, vocab, dataset, augmentations,
                               args.split, active)

@@ -1,20 +1,18 @@
-"""One checked path between decoded JSON objects and dataclasses.
+"""The one path between decoded JSON and dataclasses.
 
-``check`` accepts a JSON object for a dataclass when every key names a field
-and every value can stand for the field's annotated type: a list for a tuple
-(of the annotated length) or a frozenset, an int or a float for a float
-(``true`` and ``false`` are no number), one of an enum's values for the enum,
-``null`` for an ``Optional``, and otherwise a value of the annotated type
-itself (the elements of a ``list[...]`` are not checked). ``from_json`` checks,
-then constructs, passing each value on as decoded; ``__post_init__`` does any
-conversion. ``to_json`` writes the fields in declaration order, a tuple as a
-list, a frozenset as a sorted list and an enum as its value. A rejection is a
-``ValueError`` that names ``kind``, the caller's word for what is read.
+``from_json`` builds a dataclass from a JSON object whose keys name its fields,
+decoding each value into the field's annotated type, element by element: a
+list into a tuple (of the annotated length), a list or a frozenset; an object
+into a ``dict[str, X]`` or a nested dataclass; an enum's value into its member;
+``null`` into the ``None`` of an ``Optional`` (the one ``Union`` read). An int
+stands for a float and is kept as decoded; a boolean is no number. A rejection
+is a ``ValueError`` naming ``kind``, the caller's word for what is read, and the
+field by its path (``'metadata.feedback.timestamp'``).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from typing import Union, get_args, get_origin, get_type_hints
@@ -22,56 +20,71 @@ from typing import Union, get_args, get_origin, get_type_hints
 _hints = cache(get_type_hints)
 
 
-def check(cls, data, kind: str) -> None:
-    """Every key of ``data`` names a field of the dataclass ``cls`` and holds a
-    JSON value of the type the field is annotated with."""
+class _Mismatch(ValueError):
+    """A value that cannot stand for its type; the enclosing field, if any, names it."""
+
+
+def check(cls, data, kind: str, prefix: str = "") -> dict:
+    """The values of the JSON object ``data``, each decoded into the type of the
+    field of the dataclass ``cls`` that its key names (``prefix``: a nested path)."""
     if not isinstance(data, dict):
-        raise ValueError(f"{kind} settings must be a JSON object")
-    hints = _hints(cls)
+        raise _Mismatch(f"{kind} settings must be a JSON object")
     annotations = {f.name: f.type for f in fields(cls)}
+    values = {}
     for key, value in data.items():
         if key not in annotations:
-            raise ValueError(f"unknown {kind} setting {key!r}")
-        if not _fits(value, hints[key]):
-            raise ValueError(f"{kind} setting {key!r} must be {annotations[key]}, got {value!r}")
+            raise ValueError(f"unknown {kind} setting {prefix + key!r}")
+        try:
+            values[key] = _decode(value, _hints(cls)[key], kind, f"{prefix}{key}.")
+        except _Mismatch:
+            raise ValueError(f"{kind} setting {prefix + key!r} must be {annotations[key]}, "
+                             f"got {value!r}") from None
+    return values
 
 
-def from_json(cls, data, kind: str):
-    """``check`` ``data``, then build ``cls`` from it."""
-    check(cls, data, kind)
+def from_json(cls, data, kind: str, prefix: str = ""):
+    """The dataclass ``cls`` built from ``check``'s values; absent fields take defaults."""
+    values = check(cls, data, kind, prefix)
     for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{kind} setting {f.name!r} is missing")
-    return cls(**data)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{kind} setting {prefix + f.name!r} is missing")
+    return cls(**values)
 
 
-def to_json(obj) -> dict:
-    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
-
-
-def _encode(value):
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_encode(v) for v in value)
+def _decode(value, hint, kind: str, prefix: str):
+    """``value`` as ``hint``; the fields of a nested dataclass go under ``prefix``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X] is Union[X, None]
+        return None if value is None else _decode(value, args[0], kind, prefix)
+    if is_dataclass(hint):
+        return from_json(hint, value, kind, prefix)
+    if origin in (tuple, list, frozenset):
+        if not isinstance(value, list) or origin is tuple and len(value) != len(args):
+            raise _Mismatch
+        types = args if origin is tuple else args * len(value)
+        return origin(_decode(v, t, kind, prefix) for v, t in zip(value, types))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise _Mismatch
+        return {k: _decode(v, args[1], kind, f"{prefix}{k}.") for k, v in value.items()}
+    if isinstance(value, bool) and hint is not bool:
+        raise _Mismatch
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        if value not in [m.value for m in hint]:  # a list or dict value is unhashable
+            raise _Mismatch
+        return hint(value)
+    if not isinstance(value, (int, float) if hint is float else hint):
+        raise _Mismatch
     return value
 
 
-def _fits(value, hint) -> bool:
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(_fits(v, a) for v, a in zip(value, args)))
-    if origin is frozenset:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return value in [m.value for m in hint]  # a list or dict value is unhashable
-    return isinstance(value, origin or hint)
+def to_json(value):
+    """``value`` as JSON: a dataclass as an object of its fields, a frozenset sorted."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list, frozenset)):
+        values = [to_json(v) for v in value]
+        return sorted(values) if isinstance(value, frozenset) else values
+    return value.value if isinstance(value, Enum) else value

@@ -15,13 +15,13 @@ lose the save. A directory that exists but holds no ``manifest.json`` is not a
 checkpoint: saving over it raises ``CheckpointError`` and leaves it untouched.
 
 A load raises ``CheckpointError`` on an unreadable manifest, an unsupported
-format version, a config that ``jsonobj.from_json`` or ``ModelConfig`` rejects
-(a float ``num_layers``, say), a vocabulary whose hash differs from the
-manifest's or whose size differs from ``config.vocab_size``, a
-``params.bin`` whose length is not the config's parameter count, and a
-``params.bin`` holding a NaN or infinite value (the error names the first
-tensor that holds one). The file is read in one call into the ``flat`` vector
-of the loaded ``ModelParameters``.
+format version (checked first, whatever else the manifest holds), a manifest
+that ``jsonobj.from_json`` or ``ModelConfig`` rejects (a float ``num_layers``,
+say), a vocabulary whose hash differs from the manifest's or whose size differs
+from ``config.vocab_size``, a ``params.bin`` whose length is not the config's
+parameter count, and a ``params.bin`` holding a NaN or infinite value (the
+error names the first tensor that holds one). The file is read in one call
+into the ``flat`` vector of the loaded ``ModelParameters``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,13 @@ _DTYPE = np.dtype("<f8")
 
 class CheckpointError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    format_version: int
+    config: ModelConfig
+    vocab_sha256: str
 
 
 def save_checkpoint(
@@ -63,11 +71,7 @@ def save_checkpoint(
     staging.mkdir(parents=True)
     params.flat.astype(_DTYPE, copy=False).tofile(staging / "params.bin")
     vocab.save(staging / "vocab.txt")
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": to_json(config),
-        "vocab_sha256": vocab.sha256(),
-    }
+    manifest = to_json(_Manifest(FORMAT_VERSION, config, vocab.sha256()))
     (staging / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     if directory.exists():
         shutil.rmtree(directory)
@@ -81,22 +85,21 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParameters, ModelConfig
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable manifest {manifest_path}: {exc}")
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"manifest {manifest_path} is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if isinstance(manifest, dict) and manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {manifest.get('format_version')}")
     try:
-        config = from_json(ModelConfig, manifest.get("config"), "model")
+        manifest = from_json(_Manifest, manifest, "manifest")
     except ValueError as exc:
-        raise CheckpointError(f"bad config in {manifest_path}: {exc}")
+        raise CheckpointError(f"bad manifest {manifest_path}: {exc}")
+    config = manifest.config
 
     try:
         vocab = Vocabulary.load(directory / "vocab.txt")
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable vocabulary under {directory}: {exc}")
-    if vocab.sha256() != manifest.get("vocab_sha256"):
+    if vocab.sha256() != manifest.vocab_sha256:
         raise CheckpointError(
-            f"vocab hash mismatch: file {vocab.sha256()} vs manifest {manifest.get('vocab_sha256')}"
+            f"vocab hash mismatch: file {vocab.sha256()} vs manifest {manifest.vocab_sha256}"
         )
     if len(vocab) != config.vocab_size:
         raise CheckpointError(

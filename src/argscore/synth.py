@@ -172,6 +172,8 @@ def run_experiment(
     settings: Optional[SynthSettings] = None,
 ) -> SynthResult:
     s = settings or SynthSettings()
+    if s.n_test < 2:  # checked before any training, which could not be scored
+        raise ValueError(f"the test split needs at least two records to correlate, got {s.n_test}")
     dataset = make_records(seed, s.n_train, s.n_dev, s.n_test)
     cache_dir = out_dir / "cache" if out_dir is not None else None
     augmentations = build_augmentations(dataset, seed, cache_dir)

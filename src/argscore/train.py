@@ -74,14 +74,10 @@ class TrainConfig:
             raise ValueError("grad_clip_norm must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        self.adam_betas = tuple(self.adam_betas)
         if not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
             raise ValueError("adam_betas must each lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ValueError("adam_eps must be positive")
-        self.active_kinds = frozenset(
-            AugmentationKind(k) if isinstance(k, str) else k for k in self.active_kinds
-        )
 
 
 @dataclass

@@ -75,6 +75,59 @@ def test_version_one_manifest_rejected(tmp_path):
         load_checkpoint(directory)
 
 
+def test_manifest_text_is_pinned(tmp_path):
+    directory, *_ = _saved(tmp_path)
+    assert (directory / "manifest.json").read_text(encoding="utf-8") == """{
+  "format_version": 2,
+  "config": {
+    "vocab_size": 48,
+    "max_seq_len": 12,
+    "model_dim": 16,
+    "num_layers": 1,
+    "num_heads": 2,
+    "ffn_dim": 32,
+    "num_cross_heads": 2,
+    "mode": "dual",
+    "dropout_rate": 0.0
+  },
+  "vocab_sha256": "292af3cbe9264121d05be931dc0515b2e77a1054922768b49a713a13aec10c1a"
+}"""
+
+
+def test_newer_manifest_is_rejected_by_its_version(tmp_path):
+    # the version is checked before the fields, so an unknown one is what is reported
+    directory, *_ = _saved(tmp_path)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest.update(format_version=3, tensors=["enc1.tok_emb"])
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="unsupported format version 3$"):
+        load_checkpoint(directory)
+
+
+def test_manifest_that_is_not_an_object_is_rejected(tmp_path):
+    directory, *_ = _saved(tmp_path)
+    (directory / "manifest.json").write_text("[2]", encoding="utf-8")
+    with pytest.raises(CheckpointError, match="manifest settings must be a JSON object$"):
+        load_checkpoint(directory)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"vocab_sha256": None}, "manifest setting 'vocab_sha256' must be str, got None"),
+    ({"extra": 1}, "unknown manifest setting 'extra'"),
+    ({"config": {"vocab_size": 48, "num_layers": 1.0}},
+     "manifest setting 'config.num_layers' must be int, got 1.0"),
+])
+def test_malformed_manifest_names_the_field(tmp_path, change, message):
+    directory, *_ = _saved(tmp_path)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest.update(change)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"{message}$"):
+        load_checkpoint(directory)
+
+
 def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     directory, params, config, vocab = _saved(tmp_path)
     before = _contents(directory)

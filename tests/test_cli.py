@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import pkgutil
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -290,6 +291,39 @@ def test_augment_train_evaluate_end_to_end(tmp_path, tiny_dataset):
                      "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     assert len(report) == 2  # header and one row
+
+
+def test_augmentations_of_another_corpus_exit_one(tmp_path, tiny_dataset, capsys):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    other = tmp_path / "other.jsonl"
+    renamed = [replace(r, id=f"o{r.id}") for r in tiny_dataset.records]
+    write_dataset(Dataset(records=renamed, split_assignment={
+        f"o{rid}": split for rid, split in tiny_dataset.split_assignment.items()}), other)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"max_seq_len": 16, "model_dim": 16, "num_layers": 1, "num_heads": 2,
+                  "ffn_dim": 32, "num_cross_heads": 2},
+    }), encoding="utf-8")
+    augs = tmp_path / "augs.jsonl"
+    out = tmp_path / "out"
+    assert cli.main(["augment", "--dataset", str(other), "--out", str(augs)]) == 0
+    capsys.readouterr()
+
+    common = ["--config", str(config), "--out", str(out)]
+    # 16 train and 4 dev records lack a set
+    assert cli.main(["train", *common, "--dataset", str(data), "--augmentations", str(augs),
+                     "--epochs", "1"]) == 1
+    assert f"{augs} has no augmentation set for 20 of the records in use, the first 't0'" \
+        in _error_line(capsys)
+    assert not (out / "checkpoint").exists()
+
+    assert cli.main(["train", *common, "--dataset", str(data), "--no-augs", "--epochs", "1"]) == 0
+    evaluate = ["evaluate", *common, "--dataset", str(data), "--augmentations", str(augs),
+                "--checkpoint", str(out / "checkpoint")]
+    assert cli.main(evaluate) == 1  # 4 test records lack a set
+    assert "for 4 of the records in use, the first 't20'" in _error_line(capsys)
+    assert cli.main(evaluate + ["--augs", "none"]) == 0  # no context is read
 
 
 def test_gradcheck_without_flags_checks_the_default_config(monkeypatch):

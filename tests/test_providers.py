@@ -410,6 +410,15 @@ def test_provider_config_validation(tmp_path):
         ProviderConfig(base_url="x", max_parallel=0)
     with pytest.raises(ValueError):
         ProviderConfig(base_url="x", request_timeout=0)
+    for setting in ("temperature", "request_timeout"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{setting} must be .* finite"):
+                ProviderConfig(base_url="x", **{setting: value})
+        for literal in ("NaN", "Infinity"):  # Python's json reads both
+            path = tmp_path / "p.json"
+            path.write_text('{"base_url": "http://h/v1", "%s": %s}' % (setting, literal))
+            with pytest.raises(ValueError, match=setting):
+                ProviderConfig.from_json(path)
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"base_url": "http://h/v1", "model_name": "m"}))
     cfg = ProviderConfig.from_json(path)
@@ -436,6 +445,8 @@ GOOD_META = {"provider": "mock", "model": "m", "timestamp": EPOCH_TIMESTAMP, "pr
     pytest.param('{"id": "r1", "metadata": {"feedback": {"provider": "mock"}}}',
                  id="metadata-fields-missing"),
     pytest.param('{"id": "r1", "metadata": {"feedback": "mock"}}', id="metadata-entry-not-object"),
+    pytest.param('{"id": "r1", "metadata": {"feedback": %s}}'
+                 % json.dumps({**GOOD_META, "timestamp": 5}), id="metadata-field-not-string"),
     pytest.param('{"id": "r1", "metadata": ["feedback"]}', id="metadata-not-object"),
     pytest.param('{"id": "r1", "metadata": {"feedbak": %s}}' % json.dumps(GOOD_META),
                  id="metadata-unknown-kind"),

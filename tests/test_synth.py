@@ -47,3 +47,13 @@ def test_reduced_synth_plants_the_same_texts_rendering_each_prompt_once(tmp_path
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REDUCED_AUGMENTATIONS_SHA256
     assert renders == Counter({(rec.id, kind): 1 for rec in dataset.records
                                for kind in KIND_ORDER})
+
+
+def test_test_split_of_one_exits_before_any_training(tmp_path, monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(synth, "train", lambda *args: trained.append(args))
+    argv = ["synth", "--test-size", "1", "--train-size", "16", "--epochs", "1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "test split needs at least two records" in capsys.readouterr().err
+    assert trained == []
