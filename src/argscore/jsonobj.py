@@ -17,11 +17,25 @@ from enum import Enum
 from functools import cache
 from typing import Union, get_args, get_origin, get_type_hints
 
-_hints = cache(get_type_hints)
-
 
 class _Mismatch(ValueError):
     """A value that cannot stand for its type; the enclosing field, if any, names it."""
+
+
+@cache
+def _fields(cls) -> dict[str, tuple]:
+    """Each field of ``cls``: its type, its annotation as written, and if JSON must give it."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.type,
+                     f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
+
+
+@cache
+def _form(hint) -> tuple:
+    """A type's origin and arguments, whether it is a dataclass, and its enum values."""
+    enum = isinstance(hint, type) and issubclass(hint, Enum)
+    return (get_origin(hint), get_args(hint), is_dataclass(hint),
+            tuple(m.value for m in hint) if enum else None)
 
 
 def check(cls, data, kind: str, prefix: str = "") -> dict:
@@ -29,15 +43,15 @@ def check(cls, data, kind: str, prefix: str = "") -> dict:
     field of the dataclass ``cls`` that its key names (``prefix``: a nested path)."""
     if not isinstance(data, dict):
         raise _Mismatch(f"{kind} settings must be a JSON object")
-    annotations = {f.name: f.type for f in fields(cls)}
+    spec = _fields(cls)
     values = {}
     for key, value in data.items():
-        if key not in annotations:
+        if key not in spec:
             raise ValueError(f"unknown {kind} setting {prefix + key!r}")
         try:
-            values[key] = _decode(value, _hints(cls)[key], kind, f"{prefix}{key}.")
+            values[key] = _decode(value, spec[key][0], kind, f"{prefix}{key}.")
         except _Mismatch:
-            raise ValueError(f"{kind} setting {prefix + key!r} must be {annotations[key]}, "
+            raise ValueError(f"{kind} setting {prefix + key!r} must be {spec[key][1]}, "
                              f"got {value!r}") from None
     return values
 
@@ -45,18 +59,18 @@ def check(cls, data, kind: str, prefix: str = "") -> dict:
 def from_json(cls, data, kind: str, prefix: str = ""):
     """The dataclass ``cls`` built from ``check``'s values; absent fields take defaults."""
     values = check(cls, data, kind, prefix)
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{kind} setting {prefix + f.name!r} is missing")
+    for name, (_, _, required) in _fields(cls).items():
+        if required and name not in values:
+            raise ValueError(f"{kind} setting {prefix + name!r} is missing")
     return cls(**values)
 
 
 def _decode(value, hint, kind: str, prefix: str):
     """``value`` as ``hint``; the fields of a nested dataclass go under ``prefix``."""
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args, dataclass, members = _form(hint)
     if origin is Union:  # Optional[X] is Union[X, None]
         return None if value is None else _decode(value, args[0], kind, prefix)
-    if is_dataclass(hint):
+    if dataclass:
         return from_json(hint, value, kind, prefix)
     if origin in (tuple, list, frozenset):
         if not isinstance(value, list) or origin is tuple and len(value) != len(args):
@@ -69,8 +83,8 @@ def _decode(value, hint, kind: str, prefix: str):
         return {k: _decode(v, args[1], kind, f"{prefix}{k}.") for k, v in value.items()}
     if isinstance(value, bool) and hint is not bool:
         raise _Mismatch
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        if value not in [m.value for m in hint]:  # a list or dict value is unhashable
+    if members is not None:
+        if value not in members:  # a tuple, as a list or dict value is unhashable
             raise _Mismatch
         return hint(value)
     if not isinstance(value, (int, float) if hint is float else hint):

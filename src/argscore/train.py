@@ -14,6 +14,7 @@ from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import ArgumentRecord, Dataset
 from argscore.evaluation import evaluate
 from argscore.model import (
+    EncodedExample,
     ModelConfig,
     ModelParameters,
     Vocabulary,
@@ -99,88 +100,45 @@ def apply_masking(active: frozenset, gamma: float, rng: np.random.Generator) -> 
     return active - {AugmentationKind.SIMILAR_QUALITY}
 
 
-@dataclass
-class RowMoments:
-    """Adam moments of the rows of one token-embedding table whose gradient
-    has been nonzero at some step: ``m[i]`` and ``v[i]`` belong to table row
-    ``rows[i]``, in the order the rows were first hit."""
-
-    rows: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-
-
 class AdamOptimizer:
-    """Adam (Kingma & Ba, arXiv:1412.6980) on ``params.flat``, bitwise equal
-    to one ``kernels.adam_update`` over it with full-size moments, but keeping
-    moments only where they can be nonzero.
-
-    Adam leaves an element whose gradient, m and v are all zero as it is: m
-    and v stay zero, and ``p - lr * 0 / (sqrt(0) + eps)`` is ``p`` bitwise. A
-    row of a token-embedding table (``*.tok_emb``) has a nonzero gradient only
-    in a batch that holds its token, so until then its moments are zero and
-    skipping it is exact. Each table therefore has a ``RowMoments`` for the
-    rows whose gradient has been nonzero at some step, grown when a row is
-    first hit; those rows are updated on every later step, as dense Adam
-    updates them (with g = 0 their moments decay). The other tensors keep
-    dense moments in ``m`` and ``v``, laid out as ``flat`` is without the
-    tables, and are updated run by run between the tables."""
+    """Adam (Kingma & Ba, arXiv:1412.6980): one ``kernels.adam_update`` over
+    ``params.flat``, with moments ``m`` and ``v`` of its size; on ``train``'s
+    compact parameters they cover only the table rows the train split uses.
+    That is exact: an element whose gradient, m and v are zero does not change
+    (``p - lr * 0 / (sqrt(0) + eps)`` is ``p``), and an unused row's are zero."""
 
     def __init__(self, params: ModelParameters, tcfg: TrainConfig):
         self.t = 0
-        self.beta1, self.beta2 = tcfg.adam_betas
-        self.eps = tcfg.adam_eps
-        self.tables: dict[str, RowMoments] = {}
-        spans = []  # (start, stop) of each table in flat
-        offset = 0
-        for name, shape in params.shapes.items():
-            size = math.prod(shape)
-            if name.endswith(".tok_emb"):
-                empty = np.empty((0, shape[1]))
-                self.tables[name] = RowMoments(np.empty(0, dtype=np.intp), empty, empty)
-                spans.append((offset, offset + size))
-            offset += size
-        self.runs: list[tuple[slice, slice]] = []  # (in flat, in m and v)
-        start = dense = 0
-        for stop, after in spans + [(offset, offset)]:
-            if stop > start:
-                self.runs.append((slice(start, stop), slice(dense, dense + stop - start)))
-                dense += stop - start
-            start = after
-        self.m = np.zeros(dense)
-        self.v = np.zeros(dense)
+        self.betas, self.eps = tcfg.adam_betas, tcfg.adam_eps
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self, params: ModelParameters, grads: ModelParameters, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        hyper = (lr, self.beta1, self.beta2, self.eps, bc1, bc2)
-        for run, moments in self.runs:
-            kernels.adam_update(params.flat[run], grads.flat[run],
-                                self.m[moments], self.v[moments], *hyper)
-        for name, table in self.tables.items():
-            p, g = params[name], grads[name]
-            hit = g.any(axis=1)
-            hit[table.rows] = False
-            new = np.flatnonzero(hit)
-            if new.size:
-                zeros = np.zeros((new.size, p.shape[1]))
-                table.rows = np.concatenate([table.rows, new])
-                table.m = np.concatenate([table.m, zeros])
-                table.v = np.concatenate([table.v, zeros])
-            if table.rows.size:
-                block = p[table.rows]
-                kernels.adam_update(block.ravel(), g[table.rows].ravel(),
-                                    table.m.ravel(), table.v.ravel(), *hyper)
-                p[table.rows] = block
+        (beta1, beta2), t = self.betas, self.t
+        kernels.adam_update(params.flat, grads.flat, self.m, self.v, lr, beta1, beta2, self.eps,
+                            1.0 - beta1 ** t, 1.0 - beta2 ** t)
 
 
-def clip_gradients(grads: ModelParameters, max_norm: float) -> float:
+def clip_gradients(grads: ModelParameters, max_norm: float, rows: Optional[dict] = None,
+                   scratch: Optional[np.ndarray] = None) -> float:
     """Scale the gradient in place so its global L2 norm is at most max_norm;
     returns the pre-clip norm. The squares are summed tensor by tensor: a
     single pass over ``grads.flat`` rounds differently, and ``argscore synth``
-    (seed 11) magnifies that into a failed acceptance check."""
-    total = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    (seed 11) magnifies that into a failed acceptance check. So a tensor that
+    ``rows`` maps to its rows' indices in a full table is summed at those rows
+    of ``scratch``, a zeroed array of the table's shape, to round as the table."""
+    rows = rows or {}
+
+    def square_sum(name: str, g: np.ndarray) -> float:
+        if name not in rows:
+            return float((g ** 2).sum())
+        scratch[rows[name]] = g ** 2
+        total = float(scratch.sum())
+        scratch[rows[name]] = 0.0
+        return total
+
+    total = math.sqrt(sum(square_sum(name, g) for name, g in grads.items()))
     if total > max_norm and total > 0:
         grads.flat *= max_norm / total
     return total
@@ -223,39 +181,64 @@ def train(
     After each epoch the dev split is scored by ``evaluation.evaluate`` with
     ``tcfg.active_kinds`` (no masking), and the parameters of the epoch with
     the highest ``mean_spearman()`` are returned; a row whose correlations are
-    all undefined counts as 0.0. ``check_splits`` checks the splits before
-    the first step.
+    all undefined counts as 0.0. ``check_splits`` checks the splits first;
+    ``params`` is not changed.
 
-    Per visited example the similar-quality kind is re-masked, the example is
-    encoded and run with dropout, and its gradient is added by ``backward``
-    into one accumulator, zeroed before each batch. The batch sum is then
-    averaged, clipped (``clip_gradients``) and applied by one Adam step, each
-    on the accumulator's ``flat`` vector. Masking leaves each record one of
-    two kind sets, so each ``(record, kinds)`` pair is encoded once per call
-    and reused on later visits; its ``truncated_tokens`` count on every
-    visit. The run allocates its full-size vectors (parameters, best
-    parameters, gradients) once, none per step. Adam keeps moments for the
-    tensors that are not token embeddings and, in each token-embedding table,
-    only for the rows that the train split's tokens hit (``AdamOptimizer``),
-    so at default size its moments are a small part of the model. The learning
-    rate decays linearly from ``tcfg.learning_rate`` to zero over the run's
-    ``epochs * ceil(n_train / batch_size)`` steps.
-    Divergence stops training with ``NonFiniteLoss``: an example loss that is
-    non-finite or above ``LOSS_CEILING``, a non-finite pre-clip gradient norm,
-    or a non-finite parameter after an update. With no dev split (or zero
-    epochs) the final parameters are returned."""
+    Masking leaves each train record one of two kind sets, and each record is
+    encoded under both before the first step. Training runs on compact
+    parameters: each ``*.tok_emb`` table cut to the rows those encodings use
+    (ids renumbered to match; ``forward`` and ``backward`` index by id) and
+    every other tensor whole. The weights, gradients, best snapshot and Adam
+    moments take that layout. It is exact: an unused row has a zero gradient
+    at every step, so Adam leaves it unchanged, and ``clip_gradients`` sums a
+    cut table's squares as the full table's. One full-size copy of ``params``
+    takes the compact weights for each dev evaluation and the best at the end.
+
+    Each visit re-masks similar-quality, runs the example with dropout and
+    adds its gradient into the accumulator; ``truncated_tokens`` count every
+    visit. Each batch's sum is averaged, clipped and applied by one Adam step,
+    at a rate falling linearly from ``tcfg.learning_rate`` to zero over the
+    run's ``epochs * ceil(n_train / batch_size)`` steps. ``NonFiniteLoss``
+    stops training on an example loss that is non-finite or above
+    ``LOSS_CEILING``, a non-finite pre-clip gradient norm, or a non-finite
+    parameter after an update (at the first, any of ``params``). With no dev
+    split (or zero epochs) the final parameters are returned."""
     train_recs, dev_recs = check_splits(dataset)
     targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")
-    optimizer = AdamOptimizer(params, tcfg)
     state = TrainState()
-    params = params.copy()
-    grads = params.zeros_like()
     dropout_on = config.dropout_rate > 0.0
-    encoded: dict = {}  # (record index, kinds) -> EncodedExample
+    kind_sets = dict.fromkeys((tcfg.active_kinds,
+                               tcfg.active_kinds - {AugmentationKind.SIMILAR_QUALITY}))
+    encoded = {(j, kinds): encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
+               for j, rec in enumerate(train_recs) for kinds in kind_sets}
 
-    best_params = params.zeros_like()
+    cut = {name: slice(None) for name in params.shapes}  # the rows that training changes
+    tables, renumber = {}, {}  # renumber: seq1 or seq2 -> the compact row of each full id
+    for table, seq in (("enc1.tok_emb", "seq1"), ("enc2.tok_emb", "seq2")):
+        hit = np.zeros(config.vocab_size, dtype=bool)
+        hit[np.concatenate([getattr(enc, seq) for enc in encoded.values()])] = True
+        renumber[seq] = np.cumsum(hit) - 1  # np.unique would import numpy.ma
+        if table in cut:
+            cut[table] = tables[table] = np.flatnonzero(hit)
+    encoded = {key: EncodedExample(renumber["seq1"][enc.seq1], renumber["seq2"][enc.seq2],
+                                   enc.truncated_tokens) for key, enc in encoded.items()}
+    tensors = [params[name][rows] for name, rows in cut.items()]
+    weights = ModelParameters(np.concatenate([t.ravel() for t in tensors]),
+                              {name: t.shape for name, t in zip(cut, tensors)})
+    grads = weights.zeros_like()
+    best = weights.zeros_like()
+    scratch = np.zeros((config.vocab_size, config.model_dim))  # for clip_gradients
+    optimizer = AdamOptimizer(weights, tcfg)
+    full = params.copy()
+    input_finite = bool(np.isfinite(params.flat).all())
+
+    def scattered(source: ModelParameters) -> ModelParameters:
+        for name, rows in cut.items():
+            full[name][rows] = source[name]
+        return full
+
     best_score = -np.inf
     total_steps = tcfg.epochs * math.ceil(len(train_recs) / tcfg.batch_size)
 
@@ -274,14 +257,10 @@ def train(
             grads.flat.fill(0.0)
             for j in chunk.tolist():
                 rec = train_recs[j]
-                kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
-                enc = encoded.get((j, kinds))
-                if enc is None:
-                    enc = encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
-                    encoded[j, kinds] = enc
+                enc = encoded[j, apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)]
                 state.truncated_tokens += enc.truncated_tokens
                 example_loss, grads = backward(
-                    params, config, enc.seq1, enc.seq2, targets[rec.id],
+                    weights, config, enc.seq1, enc.seq2, targets[rec.id],
                     dropout_enabled=dropout_on,
                     rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
                     grads=grads,
@@ -292,29 +271,29 @@ def train(
                     raise diverged("loss above ceiling", record_id=rec.id, loss=example_loss)
                 epoch_losses.append(example_loss)
             grads.flat *= 1.0 / len(chunk)
-            grad_norm = clip_gradients(grads, tcfg.grad_clip_norm)
+            grad_norm = clip_gradients(grads, tcfg.grad_clip_norm, tables, scratch)
             if not math.isfinite(grad_norm):
                 raise diverged("non-finite gradient norm", grad_norm=grad_norm)
-            optimizer.step(params, grads, lr)
-            if not np.isfinite(params.flat).all():
+            optimizer.step(weights, grads, lr)
+            if not (input_finite and np.isfinite(weights.flat).all()):
                 raise diverged("non-finite parameter")
             state.step += 1
         state.loss_history.append(float(np.mean(epoch_losses)))
         state.epochs_run = epoch + 1
         if dev_recs:
-            mean = evaluate(params, config, vocab, dataset, augmentations, "dev",
+            mean = evaluate(scattered(weights), config, vocab, dataset, augmentations, "dev",
                             tcfg.active_kinds).mean_spearman()
             dev_score = 0.0 if mean is None else mean
             state.dev_spearman_history.append(dev_score)
             if dev_score > best_score:
                 best_score = dev_score
-                np.copyto(best_params.flat, params.flat)
+                np.copyto(best.flat, weights.flat)
                 state.best_epoch = epoch
 
     if state.best_epoch < 0:  # no dev split, or no epoch: the final parameters
         state.best_epoch = state.epochs_run - 1
-        return params, state, optimizer
-    return best_params, state, optimizer
+        return scattered(weights), state, optimizer
+    return scattered(best), state, optimizer
 
 
 @dataclass

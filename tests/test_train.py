@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from argscore.corpus import ArgumentRecord, Dataset, QualityScores
 from argscore.model import (
     ModelConfig,
     ModelParameters,
+    backward,
     build_vocab,
     encode_input,
     forward,
@@ -13,8 +17,8 @@ from argscore.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from argscore.model import kernels
-from argscore.seeding import stream
+from argscore.evaluation import evaluate
+from argscore.seeding import derive_seed, stream
 from argscore import train as train_mod
 from argscore.train import (
     AdamOptimizer,
@@ -23,6 +27,7 @@ from argscore.train import (
     apply_masking,
     clip_gradients,
     grad_check,
+    learning_rate_at,
     train,
 )
 
@@ -73,6 +78,21 @@ def test_clip_gradients_bounds_global_norm():
     small = ModelParameters(np.full(4, 1e-4), {"t": (2, 2)})
     clip_gradients(small, 1.0)
     assert (small["t"] == 1e-4).all()  # under the bound: untouched
+
+
+def test_clip_gradients_sums_a_cut_table_as_the_full_one():
+    rng = np.random.default_rng(3)
+    full = ModelParameters(np.zeros(300 * 7 + 5), {"table": (300, 7), "bias": (5,)})
+    rows = np.array([3, 40, 41, 299])
+    full["table"][rows] = rng.normal(size=(4, 7)) * 1e-3
+    full["bias"][:] = rng.normal(size=5) * 1e-3
+    cut = ModelParameters(np.concatenate([full["table"][rows].ravel(), full["bias"]]),
+                          {"table": (4, 7), "bias": (5,)})
+    # summed where they lie, the cut rows' squares round differently
+    assert (cut["table"] ** 2).sum() != (full["table"] ** 2).sum()
+    scratch = np.zeros((300, 7))
+    assert clip_gradients(cut, 1.0, {"table": rows}, scratch) == clip_gradients(full, 1.0)
+    assert not scratch.any()
 
 
 def _memo_dataset(n=16, seed=0):
@@ -143,18 +163,6 @@ class TestTrainLoop:
             runs.append(state.loss_history)
         assert runs[0] == runs[1]
 
-    def test_parameters_and_moments_stay_finite(self):
-        ds, vocab = _memo_dataset()
-        config = _memo_config(vocab)
-        tcfg = TrainConfig(epochs=3, rng_seed=0, active_kinds=frozenset())
-        params = init_parameters(config, 1)
-        best, _, optimizer = train(params, config, tcfg, ds, {}, vocab)
-        assert np.isfinite(best.flat).all()
-        assert np.isfinite(optimizer.m).all() and np.isfinite(optimizer.v).all()
-        assert optimizer.tables["enc1.tok_emb"].rows.size  # no context: enc2 has none
-        for table in optimizer.tables.values():
-            assert np.isfinite(table.m).all() and np.isfinite(table.v).all()
-
     def test_nonfinite_loss_aborts_with_diagnostics(self):
         ds, vocab = _memo_dataset()
         config = _memo_config(vocab)
@@ -197,69 +205,135 @@ class TestTrainLoop:
             train(init_parameters(config, 1), config, tcfg, ds, {}, vocab)
 
 
-class TestRowMomentAdam:
-    """``AdamOptimizer`` keeps token-embedding moments only for rows that have
-    had a nonzero gradient, which must be exactly dense Adam."""
+def _unused_rows_case():
+    """20 records, 4 of them dev, full context, and a vocabulary with words
+    that no train encoding uses."""
+    ds, vocab = _memo_dataset(n=20)
+    for i in range(16, 20):
+        ds.split_assignment[f"m{i}"] = "dev"
+    vocab = build_vocab([t for r in ds.records for t in (r.topic, r.argument)]
+                        + ["keep this maybe and too", "unused words only here"], 200)
+    return ds, vocab, _memo_config(vocab), {r.id: FULL_AUG for r in ds.records}
 
-    def test_steps_equal_dense_adam_bitwise(self):
-        config = ModelConfig(vocab_size=12, max_seq_len=8, model_dim=8, num_layers=1,
-                             num_heads=2, ffn_dim=16, num_cross_heads=2, mode="dual")
-        params = init_parameters(config, 5)
-        initial = params.copy()
-        reference = params.copy()
-        m_ref = np.zeros_like(params.flat)
-        v_ref = np.zeros_like(params.flat)
-        tcfg = TrainConfig()
-        optimizer = AdamOptimizer(params, tcfg)
-        beta1, beta2 = tcfg.adam_betas
-        rng = np.random.default_rng(0)
-        grads = params.zeros_like()
-        # step -> rows with a nonzero gradient, per table
-        hits = {"enc1.tok_emb": {0: [1], 2: [2], 3: [2, 4], 6: [2]},
-                "enc2.tok_emb": {t: [0] for t in range(10)} | {8: [0, 7]}}
-        never_hit = {"enc1.tok_emb": [0, 3, 5, 6, 7, 8, 9, 10, 11],
-                     "enc2.tok_emb": [1, 2, 3, 4, 5, 6, 8, 9, 10, 11]}
-        for t in range(10):
-            grads.flat[:] = rng.normal(size=grads.flat.size)
-            for name, steps in hits.items():
-                grads[name][:] = 0.0
-                for row in steps.get(t, []):
-                    grads[name][row] = rng.normal(size=config.model_dim)
-            grads["enc1.tok_emb"][4, 1:] = 0.0  # a hit row that is mostly zero
-            grads["enc1.tok_emb"][3] = -0.0  # a signed zero is no hit
-            lr = 1e-2 * (1.0 - t / 10)
-            optimizer.step(params, grads, lr)
-            kernels.adam_update(reference.flat, grads.flat, m_ref, v_ref, lr, beta1, beta2,
-                                tcfg.adam_eps, 1.0 - beta1 ** (t + 1), 1.0 - beta2 ** (t + 1))
-            assert np.array_equal(params.flat, reference.flat)
-            assert params.flat.tobytes() == reference.flat.tobytes()
-            for name, rows in never_hit.items():
-                assert params[name][rows].tobytes() == initial[name][rows].tobytes()
-        assert sorted(optimizer.tables["enc1.tok_emb"].rows) == [1, 2, 4]
-        assert sorted(optimizer.tables["enc2.tok_emb"].rows) == [0, 7]
 
-    def test_moments_cover_only_the_rows_training_hits(self):
-        ds, vocab = _memo_dataset()
-        # words the train split never uses make the tables larger than its rows
-        vocab = build_vocab([t for r in ds.records for t in (r.topic, r.argument)]
-                            + ["keep this maybe and too", "unused words only here"], 200)
-        config = _memo_config(vocab)
-        tcfg = TrainConfig(epochs=2, gamma=1.0, rng_seed=0)
-        aug = {r.id: FULL_AUG for r in ds.records}
+def _used_rows(ds, vocab, config):
+    """Per token-embedding table, the rows some train encoding uses under
+    either kind set that masking leaves."""
+    used = {"enc1.tok_emb": set(), "enc2.tok_emb": set()}
+    for rec in ds.split("train"):
+        for kinds in (ALL_KINDS, ALL_KINDS - {SQ}):
+            enc = encode_input(rec, FULL_AUG, vocab, config, kinds)
+            used["enc1.tok_emb"].update(enc.seq1.tolist())
+            used["enc2.tok_emb"].update(enc.seq2.tolist())
+    return {name: sorted(rows) for name, rows in used.items()}
+
+
+def _dense_train(params, config, tcfg, ds, aug, vocab):
+    """``train`` without the cut: ids as the vocabulary gives them, and
+    full-size gradients, Adam moments and best snapshot. Returns the best
+    parameters, the loss history and the dev history."""
+    train_recs = ds.split("train")
+    shuffle_rng, mask_rng = stream(tcfg.rng_seed, "shuffle"), stream(tcfg.rng_seed, "masking")
+    params = params.copy()
+    optimizer = AdamOptimizer(params, tcfg)
+    total_steps = tcfg.epochs * math.ceil(len(train_recs) / tcfg.batch_size)
+    best, best_score, losses, dev_scores, step = None, -np.inf, [], [], 0
+    for epoch in range(tcfg.epochs):
+        perm = shuffle_rng.permutation(len(train_recs))
+        epoch_losses = []
+        for start in range(0, len(perm), tcfg.batch_size):
+            chunk = perm[start : start + tcfg.batch_size]
+            grads = params.zeros_like()
+            for j in chunk.tolist():
+                rec = train_recs[j]
+                kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
+                enc = encode_input(rec, aug.get(rec.id), vocab, config, kinds)
+                loss, grads = backward(params, config, enc.seq1, enc.seq2,
+                                       np.array(rec.labels.normalized()),
+                                       dropout_enabled=config.dropout_rate > 0.0,
+                                       rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
+                                       grads=grads)
+                epoch_losses.append(loss)
+            grads.flat *= 1.0 / len(chunk)
+            clip_gradients(grads, tcfg.grad_clip_norm)
+            optimizer.step(params, grads, learning_rate_at(tcfg.learning_rate, step, total_steps))
+            step += 1
+        losses.append(float(np.mean(epoch_losses)))
+        score = evaluate(params, config, vocab, ds, aug, "dev", tcfg.active_kinds).mean_spearman()
+        dev_scores.append(0.0 if score is None else score)
+        if dev_scores[-1] > best_score:
+            best, best_score = params.copy(), dev_scores[-1]
+    return best, losses, dev_scores
+
+
+class TestCompactTraining:
+    """``train`` optimises only the token-embedding rows the train split
+    uses; the rest of each table must come back as it went in."""
+
+    TCFG = TrainConfig(epochs=3, gamma=0.5, batch_size=4, rng_seed=0)
+
+    def test_returns_the_bytes_of_dense_training(self):
+        ds, vocab, config, aug = _unused_rows_case()
         params = init_parameters(config, 1)
-        _, _, optimizer = train(params, config, tcfg, ds, aug, vocab)
-        encoded = [encode_input(r, FULL_AUG, vocab, config, ALL_KINDS) for r in ds.records]
-        used = {"enc1.tok_emb": np.unique(np.concatenate([e.seq1 for e in encoded])),
-                "enc2.tok_emb": np.unique(np.concatenate([e.seq2 for e in encoded]))}
-        d = config.model_dim
-        dense = params.flat.size - sum(params[name].size for name in used)
-        held = optimizer.m.size + optimizer.v.size + sum(
-            table.m.size + table.v.size for table in optimizer.tables.values())
-        hit_rows = sum(rows.size for rows in used.values())
-        assert hit_rows < 2 * config.vocab_size
-        assert held == 2 * (dense + hit_rows * d)
-        for name, rows in used.items():
-            assert sorted(optimizer.tables[name].rows) == rows.tolist()
+        best, state, _ = train(params, config, self.TCFG, ds, aug, vocab)
+        dense, losses, dev_scores = _dense_train(params, config, self.TCFG, ds, aug, vocab)
+        assert state.best_epoch == 1  # before the last epoch, so the best is restored
+        assert state.loss_history == losses
+        assert state.dev_spearman_history == dev_scores
+        assert best.flat.tobytes() == dense.flat.tobytes()
+
+    def test_unused_rows_keep_the_input_bytes(self):
+        ds, vocab, config, aug = _unused_rows_case()
+        params = init_parameters(config, 1)
+        before = params.flat.tobytes()
+        best, _, _ = train(params, config, self.TCFG, ds, aug, vocab)
+        assert params.flat.tobytes() == before
+        assert np.isfinite(best.flat).all()
+        for name, used in _used_rows(ds, vocab, config).items():
+            unused = [i for i in range(config.vocab_size) if i not in used]
+            assert unused
+            assert best[name][unused].tobytes() == params[name][unused].tobytes()
+            assert not np.array_equal(best[name][used], params[name][used])
+
+    def test_optimizer_holds_twice_the_compact_size(self):
+        ds, vocab, config, aug = _unused_rows_case()
+        params = init_parameters(config, 1)
+        _, _, optimizer = train(params, config, self.TCFG, ds, aug, vocab)
+        used = sum(len(rows) for rows in _used_rows(ds, vocab, config).values())
+        compact = params.flat.size - (2 * config.vocab_size - used) * config.model_dim
+        assert compact < params.flat.size
+        assert optimizer.m.size + optimizer.v.size == 2 * compact
+        assert np.isfinite(optimizer.m).all() and np.isfinite(optimizer.v).all()
+
+    def test_nan_in_an_unused_row_stops_the_first_step(self):
+        ds, vocab, config, aug = _unused_rows_case()
+        params = init_parameters(config, 1)
+        used = _used_rows(ds, vocab, config)["enc1.tok_emb"]
+        params["enc1.tok_emb"][next(i for i in range(config.vocab_size) if i not in used)] = np.nan
+        with pytest.raises(NonFiniteLoss) as err:
+            train(params, config, self.TCFG, ds, aug, vocab)
+        diagnostics = err.value.diagnostics
+        assert (diagnostics["reason"], diagnostics["epoch"], diagnostics["step"]) == (
+            "non-finite parameter", 0, 0)
+
+    def test_peak_memory_is_about_one_model_when_tables_dominate(self):
+        """With the tables at 95% of the model and few of their rows used, one
+        run's traced peak stays under 2.75 times the parameter bytes: one
+        full-size copy, the clip scratch (one table) and the compact vectors.
+        Full-size gradients, best snapshot and working copy would reach 3.6."""
+        ds, vocab, _, aug = _unused_rows_case()
+        config = ModelConfig(vocab_size=4000, max_seq_len=16, model_dim=16, num_layers=1,
+                             num_heads=2, ffn_dim=32, num_cross_heads=2, dropout_rate=0.0)
+        params = init_parameters(config, 1)
+        tables = params["enc1.tok_emb"].size + params["enc2.tok_emb"].size
+        assert tables >= 0.9 * params.flat.size
+        tracemalloc.start()
+        try:
+            train(params, config, TrainConfig(epochs=1, rng_seed=0), ds, aug, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * params.flat.nbytes
 
 
 def test_seeded_dual_training_reproduces_recorded_values():
