@@ -102,11 +102,12 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
     return "+".join(k.value for k in KIND_ORDER if k in active)
 
 
-def predict(params, config, vocab, record, aug, active_kinds=()) -> np.ndarray:
+def predict(params, config, vocab, record, aug, active_kinds=(), workspace=None) -> np.ndarray:
     """Deterministic inference for one record; no dropout, no masking. Returns
-    the three unclamped head outputs."""
+    the three unclamped head outputs, which live in ``workspace`` when one is
+    given (see ``network.forward``)."""
     enc = encoding.encode_input(record, aug, vocab, config, active_kinds)
-    return network.forward(params, config, enc.seq1, enc.seq2).outputs
+    return network.forward(params, config, enc.seq1, enc.seq2, workspace=workspace).outputs
 
 
 def evaluate(
@@ -117,19 +118,23 @@ def evaluate(
     augmentations: dict[str, AugmentationSet],
     split: str,
     active_kinds: Iterable[AugmentationKind] = (),
+    workspace: Optional[network.Workspace] = None,
 ) -> EvalRow:
     """Predict every record of the split (no masking; all present active
-    context texts supplied) and correlate unclamped outputs with gold.
+    context texts supplied) and correlate unclamped outputs with gold. Every
+    forward pass runs in ``workspace``, by default one made for this call.
 
     This is the one scoring path: ``train`` picks its best epoch by this
-    row's ``mean_spearman()`` on the dev split."""
+    row's ``mean_spearman()`` on the dev split, in its own workspace."""
     records = dataset.split(split)
     if not records:
         raise EmptySplit(f"split {split!r} of {dataset.name!r} is empty")
     active = set(active_kinds)
     raw = np.empty((len(records), 3))
+    workspace = network.Workspace(config) if workspace is None else workspace
     for i, rec in enumerate(records):
-        raw[i] = predict(params, config, vocab, rec, augmentations.get(rec.id), active)
+        raw[i] = predict(params, config, vocab, rec, augmentations.get(rec.id), active,
+                         workspace=workspace)
 
     row = EvalRow(
         dataset=dataset.name, split=split, mode=config.mode,

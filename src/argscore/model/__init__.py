@@ -8,6 +8,7 @@ from argscore.model.network import (
     ForwardTrace,
     ModelParameters,
     ShapeMismatch,
+    Workspace,
     backward,
     forward,
     init_parameters,
@@ -40,6 +41,7 @@ __all__ = [
     "ShapeMismatch",
     "UNK_ID",
     "Vocabulary",
+    "Workspace",
     "backward",
     "build_vocab",
     "encode_input",

@@ -1,23 +1,33 @@
 """Hot numeric kernels, in numpy. All kernels operate on float64 arrays.
 
 Two rules hold for every kernel, and ``tests/test_kernels.py`` checks both:
-a kernel never writes into its arguments (``adam_update`` excepted, whose
-job is to update ``p``, ``m`` and ``v``), and its results equal bitwise
-those of its plain expression, one temporary per operation. The kernels
-evaluate the same operations in the same order, but into a few temporaries
-of their own through ``out=`` and in-place operators. Row means are
-``np.add.reduce(x, axis=-1, keepdims=True) / d`` and column sums
+a kernel writes only into ``out`` and ``scratch`` (``adam_update`` also
+updates ``p``, ``m`` and ``v``, which is its job), and its results equal
+bitwise those of its plain expression, one temporary per operation. The
+kernels evaluate the same operations in the same order, but into their
+outputs and a few temporaries through ``out=`` and in-place operators. Row
+means are ``np.add.reduce(x, axis=-1, keepdims=True) / d`` and column sums
 ``np.add.reduce(x, axis=0)``: the same reductions as ``.mean`` and ``.sum``,
 without their Python wrappers.
 
+``out`` and ``scratch`` are keyword-only and optional. ``out`` takes the
+result, or each array of a tuple result, and must have its shape and be
+C-contiguous. ``scratch`` is a 1-d array that holds the kernel's
+temporaries the size of its first operand (one for ``gelu`` and
+``layer_norm_grad``, three for ``gelu_grad``). Either is allocated when it
+is not given, so the network's workspace can pass both and every other
+caller neither. Only row statistics, of shape ``(..., 1)``, are still
+allocated on each call.
+
 Callers look each kernel up as ``kernels.<name>`` at call time, so the
 ``kernels.*`` spans of ``python3 benchmarks/run.py --trace 1`` can time each
-one per call and per round.
+one per call and per round; those count positional arrays only.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -28,41 +38,62 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def masked_softmax(scores: np.ndarray) -> np.ndarray:
+def _temporaries(scratch: Optional[np.ndarray], shape: tuple, count: int) -> list[np.ndarray]:
+    """``count`` arrays of ``shape``: contiguous views of ``scratch`` back to
+    back, or new arrays when there is none."""
+    if scratch is None:
+        return [np.empty(shape) for _ in range(count)]
+    size = math.prod(shape)
+    return [scratch[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+
+
+def masked_softmax(scores: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax over the last axis. Every key is real, so nothing is masked:
     the name is kept because it is the benchmark's span name for this kernel."""
-    e = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
-def masked_softmax_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    g = dprobs * probs
+def masked_softmax_grad(probs: np.ndarray, dprobs: np.ndarray, *,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    g = np.multiply(dprobs, probs, out=out)
     row = np.add.reduce(g, axis=-1, keepdims=True)
     np.subtract(dprobs, row, out=g)
     g *= probs
     return g
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, *,
+               out: Optional[tuple] = None):
+    """``(y, xhat, rstd)``; ``out`` is that tuple, ``rstd`` of shape ``x.shape[:-1]``."""
     d = x.shape[-1]
-    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    y = xhat * xhat
-    rstd = np.add.reduce(y, axis=-1, keepdims=True) / d
-    rstd += eps
-    np.sqrt(rstd, out=rstd)
-    np.divide(1.0, rstd, out=rstd)
-    xhat *= rstd
+    y, xhat, rstd = out or (np.empty_like(x), np.empty_like(x), np.empty(x.shape[:-1]))
+    r = rstd[..., None]  # the row mean first, then the reciprocal deviation
+    np.add.reduce(x, axis=-1, keepdims=True, out=r)
+    r /= d
+    np.subtract(x, r, out=xhat)
+    np.multiply(xhat, xhat, out=y)
+    np.add.reduce(y, axis=-1, keepdims=True, out=r)
+    r /= d
+    r += eps
+    np.sqrt(r, out=r)
+    np.divide(1.0, r, out=r)
+    xhat *= r
     np.multiply(xhat, gamma, out=y)
     y += beta
-    return y, xhat, rstd[:, 0]
+    return y, xhat, rstd
 
 
-def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: np.ndarray):
+def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: np.ndarray, *,
+                    out: Optional[tuple] = None, scratch: Optional[np.ndarray] = None):
+    """``(dx, dgamma, dbeta)``; ``out`` is that tuple."""
     d = dy.shape[-1]
-    dx = dy * gamma  # dxhat until it is scaled
-    t = dx * xhat
+    dx, dgamma, dbeta = out or (np.empty_like(dy), np.empty(d), np.empty(d))
+    (t,) = _temporaries(scratch, dy.shape, 1)
+    np.multiply(dy, gamma, out=dx)  # dxhat until it is scaled
+    np.multiply(dx, xhat, out=t)
     m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
     m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
     dx -= m1
@@ -70,31 +101,37 @@ def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: n
     dx -= t
     dx *= rstd[:, None]
     np.multiply(dy, xhat, out=t)
-    return dx, np.add.reduce(t, axis=0), np.add.reduce(dy, axis=0)
+    np.add.reduce(t, axis=0, out=dgamma)
+    np.add.reduce(dy, axis=0, out=dbeta)
+    return dx, dgamma, dbeta
 
 
 # Powers are written as products: numpy evaluates a float ``x ** 3`` with
 # ``pow`` per element, which costs about ten times the rest of the GELU.
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, *, out: Optional[np.ndarray] = None,
+         scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """``0.5 * x * (1 + tanh(C * (x + A * x**3)))``."""
-    t = x * x
+    (t,) = _temporaries(scratch, x.shape, 1)
+    np.multiply(x, x, out=t)
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
     t += 1.0
-    out = np.multiply(x, 0.5)
+    out = np.multiply(x, 0.5, out=out)
     out *= t
     return out
 
 
-def gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+def gelu_grad(dy: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """``dy * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner)``, where ``t``
     is the forward pass's tanh and ``dinner = C * (1 + 3 * A * x**2)``."""
-    dinner = x * x
-    t = dinner * x
+    dinner, slope, u = _temporaries(scratch, x.shape, 3)
+    np.multiply(x, x, out=dinner)
+    t = np.multiply(dinner, x, out=out)
     t *= _GELU_A
     t += x
     t *= _GELU_C
@@ -102,8 +139,8 @@ def gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     dinner *= 3.0 * _GELU_A
     dinner += 1.0
     dinner *= _GELU_C
-    slope = np.multiply(x, 0.5)
-    u = t * t
+    np.multiply(x, 0.5, out=slope)
+    np.multiply(t, t, out=u)
     np.subtract(1.0, u, out=u)
     slope *= u
     slope *= dinner
@@ -117,19 +154,27 @@ def gelu_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 _ADAM_BLOCK = 1 << 15  # elements: 256 KB per scratch array
 
 
+def adam_scratch(size: int) -> np.ndarray:
+    """The two blocks of scratch that ``adam_update`` on vectors of ``size`` uses."""
+    return np.empty((2, min(size, _ADAM_BLOCK)))
+
+
 def adam_update(
     p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-    lr: float, beta1: float, beta2: float, eps: float, bc1: float, bc2: float,
+    lr: float, beta1: float, beta2: float, eps: float, bc1: float, bc2: float, *,
+    scratch: Optional[np.ndarray] = None,
 ) -> None:
     """In-place Adam step on flat float64 vectors; bc1/bc2 are the bias
     corrections 1 - beta^t.
 
     Computes ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` operation for
     operation, so the result is bitwise that of the plain expression, but
-    block by block through two scratch arrays of ``_ADAM_BLOCK`` elements
-    instead of its five full-size temporaries. A full-size scratch allocated
-    on every step raised the default-size benchmark's peak RSS by 8 to 16%."""
-    scratch = np.empty((2, min(p.size, _ADAM_BLOCK)))
+    block by block through the two rows of ``scratch`` (``adam_scratch``,
+    made here when not given) instead of its five full-size temporaries. A
+    full-size scratch allocated on every step raised the default-size
+    benchmark's peak RSS by 8 to 16%."""
+    if scratch is None:
+        scratch = adam_scratch(p.size)
     for start in range(0, p.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         pb, gb, mb, vb = p[block], g[block], m[block], v[block]

@@ -19,7 +19,21 @@ forward pass draws all its masks in one ``rng.random`` call of shape
 (embedding, then attention and FFN per layer), and one for cross-attention.
 They are handed out in that order, encoder 1 first, which reads the stream
 exactly as one draw per mask would. Each mask is ``(draw >= rate) / (1 -
-rate)`` (inverted dropout), made for the whole block at once.
+rate)`` (inverted dropout), made in place over the whole block at once.
+
+A ``Workspace`` holds every array that one example's forward and backward
+passes write: the dropout draws, each layer's activations, attention scores
+and probabilities, the FFN and GELU temporaries, and the backward deltas.
+Each is sized at ``max_seq_len`` rows and used through contiguous views of
+its head. ``forward`` and ``backward`` make a fresh one unless they are given
+one; ``train`` keeps one for its run and ``evaluate`` one per call, so a run
+of examples allocates none of these arrays per example. What is still
+allocated per call is small: the kernels' row statistics and numpy's own
+iterator buffers.
+Results go there through ``out=`` into contiguous arrays of the shapes the
+plain expressions would allocate, which keeps their BLAS calls, their
+reduction order and every output byte. A ``ForwardTrace`` made with a shared
+workspace aliases it: its arrays hold until the workspace's next use.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -74,7 +88,8 @@ class ModelParameters(dict):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate quantities exposed for inspection and tests."""
+    """Intermediate quantities exposed for inspection and tests. Its arrays
+    are views of the pass's workspace, so they hold until that is used again."""
 
     enc1_states: np.ndarray
     enc2_states: Optional[np.ndarray]
@@ -138,37 +153,130 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
     return params
 
 
+class Workspace:
+    """Every array that one example's ``forward`` and ``backward`` write,
+    made once for ``config`` and reused by every example (see the module
+    docstring).
+
+    Each array is a named slot. A row slot has ``max_seq_len`` rows, and
+    ``rows(name, n)`` is its first ``n``. A head slot is flat, and
+    ``heads(name, h, n, k)`` is its first ``h * n * k`` elements as a
+    contiguous (h, n, k) array. A slot named after a layer norm, FFN or
+    attention (``enc1.layer0.ln1.y``, ``cross.probs``) holds what ``backward``
+    reads of that part's forward pass; the others hold temporaries that each
+    part reuses in turn."""
+
+    def __init__(self, config: ModelConfig):
+        L, d, f = config.max_seq_len, config.model_dim, config.ffn_dim
+        dual = config.mode == "dual"
+        encoders = ("enc1", "enc2") if dual else ("enc1",)
+        layers = [f"{enc}.layer{layer}" for enc in encoders for layer in range(config.num_layers)]
+        attentions = [f"{base}.attn" for base in layers] + ["cross"] * dual
+        norms = [f"{base}.{ln}" for base in layers for ln in ("ln1", "ln2")]
+        norms += [f"{enc}.final_ln" for enc in encoders]
+        square = max(config.num_heads, config.num_cross_heads) * L * L
+        shapes = {f"{ln}.{name}": (L, d) for ln in norms for name in ("y", "xhat")}
+        shapes.update({f"{ln}.rstd": (L,) for ln in norms})
+        shapes.update({f"{base}.{name}": (L, f) for base in layers for name in ("h1", "a")})
+        shapes.update({f"{attn}.{name}": (L, d) for attn in attentions
+                       for name in ("q", "k", "v", "ctx")})
+        shapes.update({f"{attn}.probs": (square,) for attn in attentions})
+        # the dropout masks: a (max_seq_len, model_dim) block per use in one pass
+        shapes["draws"] = ((1 + 2 * config.num_layers) * len(encoders) + dual, L, d)
+        shapes.update(dict.fromkeys(("x", "proj", "denc1", "dx", "dmasked", "dy", "dln", "dctx",
+                                     "dq", "dk", "dv", "dxq", "dxkv", "dxkv_v"), (L, d)))
+        shapes.update(da=(L, f), dh1=(L, f))
+        shapes.update(dict.fromkeys(("scores", "dprobs", "dscores"), (square,)))
+        shapes.update(dict.fromkeys(("heads", "dvh", "dqh", "dkh"), (L * d,)))
+        shapes.update(dict.fromkeys(("pooled", "dpooled", "dgamma", "dbeta"), (d,)))
+        shapes["outputs"] = (3,)
+        shapes["scratch"] = (3 * L * max(d, f),)  # the kernels' temporaries
+        shapes["column"] = (max(d, f),)  # a bias's gradient
+        shapes["product"] = (d * max(d, f),)  # a weight's gradient
+        self.slots = slots = {name: np.empty(shape) for name, shape in shapes.items()}
+        self.scratch, self.column = slots["scratch"], slots["column"]
+        self.outputs, self.pooled = slots["outputs"], slots["pooled"]
+        self.dpooled, self.dgamma, self.dbeta = slots["dpooled"], slots["dgamma"], slots["dbeta"]
+        self.product = {shape: slots["product"][: shape[0] * shape[1]].reshape(shape)
+                        for shape in ((d, d), (d, f), (f, d))}
+
+    def rows(self, name: str, n: int) -> np.ndarray:
+        return self.slots[name][:n]
+
+    def heads(self, name: str, h: int, n: int, k: int) -> np.ndarray:
+        return self.slots[name][: h * n * k].reshape(h, n, k)
+
+
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     n, d = x.shape
     return x.reshape(n, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
+def _merge_heads(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x`` of shape (h, n, dh) into ``out`` of shape (n, h * dh)."""
     h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    np.copyto(out.reshape(n, h, dh), x.transpose(1, 0, 2))
+    return out
 
 
-def _attention(p, prefix, xq, xkv, num_heads):
-    """Shared multi-head attention; returns output and backward cache."""
+def _add_product(grad: np.ndarray, a: np.ndarray, b: np.ndarray, ws: Workspace) -> None:
+    """``grad += a @ b``, the product made in the workspace."""
+    grad += np.matmul(a, b, out=ws.product[grad.shape])
+
+
+def _add_column_sum(grad: np.ndarray, x: np.ndarray, ws: Workspace) -> None:
+    """``grad += x.sum(axis=0)``, the sum made in the workspace."""
+    grad += np.add.reduce(x, axis=0, out=ws.column[: x.shape[1]])
+
+
+def _dropped(dx: np.ndarray, mask: Optional[np.ndarray], ws: Workspace) -> np.ndarray:
+    """``dx * mask`` in the workspace, or ``dx`` when dropout is off."""
+    return dx if mask is None else np.multiply(dx, mask, out=ws.rows("dmasked", dx.shape[0]))
+
+
+def _layer_norm(p, ln, x, ws):
+    """``kernels.layer_norm`` of ``x`` by the ``ln`` parameters, into its slots."""
+    n = x.shape[0]
+    return kernels.layer_norm(x, p[f"{ln}.gamma"], p[f"{ln}.beta"], LN_EPS, out=(
+        ws.rows(f"{ln}.y", n), ws.rows(f"{ln}.xhat", n), ws.rows(f"{ln}.rstd", n)))
+
+
+def _layer_norm_backward(p, ln, dy, ws, slot, grads):
+    """The gradient at the input of layer norm ``ln``, into ``slot``; adds
+    those of its parameters into ``grads``."""
+    dx, dgamma, dbeta = kernels.layer_norm_grad(
+        dy, p[f"{ln}.gamma"], ws.rows(f"{ln}.xhat", dy.shape[0]),
+        ws.rows(f"{ln}.rstd", dy.shape[0]), scratch=ws.scratch,
+        out=(ws.rows(slot, dy.shape[0]), ws.dgamma, ws.dbeta))
+    grads[f"{ln}.gamma"] += dgamma
+    grads[f"{ln}.beta"] += dbeta
+    return dx
+
+
+def _attention(p, prefix, xq, xkv, num_heads, ws):
+    """Shared multi-head attention; returns output and backward cache. What
+    backward reads goes to the ``prefix`` slots, the output to ``proj``."""
     wq, bq = p[f"{prefix}.wq"], p[f"{prefix}.bq"]
     wk, bk = p[f"{prefix}.wk"], p[f"{prefix}.bk"]
     wv, bv = p[f"{prefix}.wv"], p[f"{prefix}.bv"]
     wo, bo = p[f"{prefix}.wo"], p[f"{prefix}.bo"]
-    q = xq @ wq
+    (nq, d), nk = xq.shape, xkv.shape[0]
+    q = np.matmul(xq, wq, out=ws.rows(f"{prefix}.q", nq))
     q += bq
-    k = xkv @ wk
+    k = np.matmul(xkv, wk, out=ws.rows(f"{prefix}.k", nk))
     k += bk
-    v = xkv @ wv
+    v = np.matmul(xkv, wv, out=ws.rows(f"{prefix}.v", nk))
     v += bv
     qh = _split_heads(q, num_heads)
     kh = _split_heads(k, num_heads)
     vh = _split_heads(v, num_heads)
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = np.matmul(qh, kh.transpose(0, 2, 1))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, nq, nk))
     scores *= scale
-    probs = kernels.masked_softmax(scores)
-    ctx = _merge_heads(np.matmul(probs, vh))
-    out = ctx @ wo
+    probs = kernels.masked_softmax(scores, out=ws.heads(f"{prefix}.probs", num_heads, nq, nk))
+    heads = np.matmul(probs, vh, out=ws.heads("heads", num_heads, nq, d // num_heads))
+    ctx = _merge_heads(heads, ws.rows(f"{prefix}.ctx", nq))
+    out = np.matmul(ctx, wo, out=ws.rows("proj", nq))
     out += bo
     cache = {
         "xq": xq, "xkv": xkv, "qh": qh, "kh": kh, "vh": vh,
@@ -177,46 +285,54 @@ def _attention(p, prefix, xq, xkv, num_heads):
     return out, cache
 
 
-def _attention_backward(p, prefix, cache, dout, grads):
-    """Returns (dxq, dxkv) and accumulates parameter gradients."""
+def _attention_backward(p, prefix, cache, dout, grads, ws):
+    """Returns (dxq, dxkv), in the ``dxq`` and ``dxkv`` slots, and accumulates
+    parameter gradients."""
     wq, wk, wv, wo = p[f"{prefix}.wq"], p[f"{prefix}.wk"], p[f"{prefix}.wv"], p[f"{prefix}.wo"]
     xq, xkv = cache["xq"], cache["xkv"]
     qh, kh, vh = cache["qh"], cache["kh"], cache["vh"]
     probs, ctx, scale = cache["probs"], cache["ctx"], cache["scale"]
     num_heads = cache["num_heads"]
+    nq, nk, dh = xq.shape[0], xkv.shape[0], vh.shape[-1]
 
-    grads[f"{prefix}.wo"] += ctx.T @ dout
-    grads[f"{prefix}.bo"] += dout.sum(axis=0)
-    dctx = dout @ wo.T
+    _add_product(grads[f"{prefix}.wo"], ctx.T, dout, ws)
+    _add_column_sum(grads[f"{prefix}.bo"], dout, ws)
+    dctx = np.matmul(dout, wo.T, out=ws.rows("dctx", nq))
     dctx_h = _split_heads(dctx, num_heads)
-    dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1))
-    dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h)
-    dscores = kernels.masked_softmax_grad(probs, dprobs)
-    dqh = np.matmul(dscores, kh)
+    dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1), out=ws.heads("dprobs", num_heads, nq, nk))
+    dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h, out=ws.heads("dvh", num_heads, nk, dh))
+    dscores = kernels.masked_softmax_grad(probs, dprobs, out=ws.heads("dscores", num_heads, nq, nk))
+    dqh = np.matmul(dscores, kh, out=ws.heads("dqh", num_heads, nq, dh))
     dqh *= scale
-    dkh = np.matmul(dscores.transpose(0, 2, 1), qh)
+    dkh = np.matmul(dscores.transpose(0, 2, 1), qh, out=ws.heads("dkh", num_heads, nk, dh))
     dkh *= scale
-    dq = _merge_heads(dqh)
-    dk = _merge_heads(dkh)
-    dv = _merge_heads(dvh)
-    grads[f"{prefix}.wq"] += xq.T @ dq
-    grads[f"{prefix}.bq"] += dq.sum(axis=0)
-    grads[f"{prefix}.wk"] += xkv.T @ dk
-    grads[f"{prefix}.bk"] += dk.sum(axis=0)
-    grads[f"{prefix}.wv"] += xkv.T @ dv
-    grads[f"{prefix}.bv"] += dv.sum(axis=0)
-    dxq = dq @ wq.T
-    dxkv = dk @ wk.T
-    dxkv += dv @ wv.T
+    dq = _merge_heads(dqh, ws.rows("dq", nq))
+    dk = _merge_heads(dkh, ws.rows("dk", nk))
+    dv = _merge_heads(dvh, ws.rows("dv", nk))
+    _add_product(grads[f"{prefix}.wq"], xq.T, dq, ws)
+    _add_column_sum(grads[f"{prefix}.bq"], dq, ws)
+    _add_product(grads[f"{prefix}.wk"], xkv.T, dk, ws)
+    _add_column_sum(grads[f"{prefix}.bk"], dk, ws)
+    _add_product(grads[f"{prefix}.wv"], xkv.T, dv, ws)
+    _add_column_sum(grads[f"{prefix}.bv"], dv, ws)
+    dxq = np.matmul(dq, wq.T, out=ws.rows("dxq", nq))
+    dxkv = np.matmul(dk, wk.T, out=ws.rows("dxkv", nk))
+    dxkv += np.matmul(dv, wv.T, out=ws.rows("dxkv_v", nk))
     return dxq, dxkv
 
 
-def _encoder_forward(p, enc, ids, config, masks):
+def _encoder_forward(p, enc, ids, config, masks, ws):
     """``masks`` yields the ``(max_seq_len, model_dim)`` inverted-dropout
     masks, one per use; None turns dropout off."""
     n = ids.shape[0]
     dropout_on = masks is not None
-    x = p[f"{enc}.tok_emb"][ids] + p[f"{enc}.pos_emb"][:n]
+    table = p[f"{enc}.tok_emb"]
+    size = table.shape[0]
+    # indexing's bounds check: take's mode="raise" would write through a copy of `out`
+    if not -size <= np.minimum.reduce(ids) <= np.maximum.reduce(ids) < size:
+        raise IndexError(f"{enc}: a token id is out of range for {size} embedding rows")
+    x = table.take(ids, axis=0, out=ws.rows("x", n), mode="wrap")
+    x += p[f"{enc}.pos_emb"][:n]
     cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
     if dropout_on:
         dm = next(masks)[:n]
@@ -224,75 +340,55 @@ def _encoder_forward(p, enc, ids, config, masks):
         x *= dm
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
-        y1, xh1, rstd1 = kernels.layer_norm(
-            x, p[f"{base}.ln1.gamma"], p[f"{base}.ln1.beta"], LN_EPS
-        )
-        attn_out, ac = _attention(p, f"{base}.attn", y1, y1, config.num_heads)
-        lc: dict = {"xh1": xh1, "rstd1": rstd1, "attn": ac}
+        y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws)
+        attn_out, ac = _attention(p, f"{base}.attn", y1, y1, config.num_heads, ws)
+        lc: dict = {"attn": ac}
         cache["attn_probs"].append(ac["probs"])
         if dropout_on:
             lc["dm_attn"] = next(masks)[:n]
             attn_out *= lc["dm_attn"]
         x += attn_out
-        y2, xh2, rstd2 = kernels.layer_norm(
-            x, p[f"{base}.ln2.gamma"], p[f"{base}.ln2.beta"], LN_EPS
-        )
-        lc["y2"], lc["xh2"], lc["rstd2"] = y2, xh2, rstd2
-        h1 = y2 @ p[f"{base}.ffn.w1"]
+        y2, _, _ = _layer_norm(p, f"{base}.ln2", x, ws)
+        h1 = np.matmul(y2, p[f"{base}.ffn.w1"], out=ws.rows(f"{base}.h1", n))
         h1 += p[f"{base}.ffn.b1"]
-        a = kernels.gelu(h1)
-        f = a @ p[f"{base}.ffn.w2"]
-        f += p[f"{base}.ffn.b2"]
-        lc["h1"], lc["a"] = h1, a
+        a = kernels.gelu(h1, out=ws.rows(f"{base}.a", n), scratch=ws.scratch)
+        ffn_out = np.matmul(a, p[f"{base}.ffn.w2"], out=ws.rows("proj", n))
+        ffn_out += p[f"{base}.ffn.b2"]
+        lc["y2"], lc["h1"], lc["a"] = y2, h1, a
         if dropout_on:
             lc["dm_ffn"] = next(masks)[:n]
-            f *= lc["dm_ffn"]
-        x += f
+            ffn_out *= lc["dm_ffn"]
+        x += ffn_out
         cache["layers"].append(lc)
-    out, xhf, rstdf = kernels.layer_norm(
-        x, p[f"{enc}.final_ln.gamma"], p[f"{enc}.final_ln.beta"], LN_EPS
-    )
-    cache["xhf"], cache["rstdf"] = xhf, rstdf
+    out, _, _ = _layer_norm(p, f"{enc}.final_ln", x, ws)
     return out, cache
 
 
-def _encoder_backward(p, enc, config, cache, dout, grads):
-    dx, dgf, dbf = kernels.layer_norm_grad(
-        dout, p[f"{enc}.final_ln.gamma"], cache["xhf"], cache["rstdf"]
-    )
-    grads[f"{enc}.final_ln.gamma"] += dgf
-    grads[f"{enc}.final_ln.beta"] += dbf
+def _encoder_backward(p, enc, config, cache, dout, grads, ws):
+    """Reads ``dout`` before it writes any slot that ``dout`` may be."""
+    n = dout.shape[0]
+    dx = _layer_norm_backward(p, f"{enc}.final_ln", dout, ws, "dx", grads)
     for layer in reversed(range(config.num_layers)):
         base = f"{enc}.layer{layer}"
         lc = cache["layers"][layer]
-        df = dx * lc["dm_ffn"] if "dm_ffn" in lc else dx
-        grads[f"{base}.ffn.w2"] += lc["a"].T @ df
-        grads[f"{base}.ffn.b2"] += df.sum(axis=0)
-        da = df @ p[f"{base}.ffn.w2"].T
-        dh1 = kernels.gelu_grad(da, lc["h1"])
-        grads[f"{base}.ffn.w1"] += lc["y2"].T @ dh1
-        grads[f"{base}.ffn.b1"] += dh1.sum(axis=0)
-        dy2 = dh1 @ p[f"{base}.ffn.w1"].T
-        dx1_ln, dg2, db2 = kernels.layer_norm_grad(
-            dy2, p[f"{base}.ln2.gamma"], lc["xh2"], lc["rstd2"]
-        )
-        grads[f"{base}.ln2.gamma"] += dg2
-        grads[f"{base}.ln2.beta"] += db2
-        dx1 = dx + dx1_ln
-        dattn = dx1 * lc["dm_attn"] if "dm_attn" in lc else dx1
+        df = _dropped(dx, lc.get("dm_ffn"), ws)
+        _add_product(grads[f"{base}.ffn.w2"], lc["a"].T, df, ws)
+        _add_column_sum(grads[f"{base}.ffn.b2"], df, ws)
+        da = np.matmul(df, p[f"{base}.ffn.w2"].T, out=ws.rows("da", n))
+        dh1 = kernels.gelu_grad(da, lc["h1"], out=ws.rows("dh1", n), scratch=ws.scratch)
+        _add_product(grads[f"{base}.ffn.w1"], lc["y2"].T, dh1, ws)
+        _add_column_sum(grads[f"{base}.ffn.b1"], dh1, ws)
+        dy2 = np.matmul(dh1, p[f"{base}.ffn.w1"].T, out=ws.rows("dy", n))
+        dx += _layer_norm_backward(p, f"{base}.ln2", dy2, ws, "dln", grads)  # dx1
+        dattn = _dropped(dx, lc.get("dm_attn"), ws)
         # self-attention: queries and keys/values are the same states
-        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", lc["attn"], dattn, grads)
-        dy1 = dy1q + dy1kv
-        dx0_ln, dg1, db1 = kernels.layer_norm_grad(
-            dy1, p[f"{base}.ln1.gamma"], lc["xh1"], lc["rstd1"]
-        )
-        grads[f"{base}.ln1.gamma"] += dg1
-        grads[f"{base}.ln1.beta"] += db1
-        dx = dx1 + dx0_ln
+        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", lc["attn"], dattn, grads, ws)
+        dy1 = np.add(dy1q, dy1kv, out=ws.rows("dy", n))
+        dx += _layer_norm_backward(p, f"{base}.ln1", dy1, ws, "dln", grads)
     if "dm_emb" in cache:
-        dx = dx * cache["dm_emb"]
+        dx *= cache["dm_emb"]
     np.add.at(grads[f"{enc}.tok_emb"], cache["ids"], dx)
-    grads[f"{enc}.pos_emb"][: dx.shape[0]] += dx
+    grads[f"{enc}.pos_emb"][:n] += dx
 
 
 def _check_inputs(config, seq1, seq2):
@@ -309,36 +405,39 @@ def _check_inputs(config, seq1, seq2):
         raise ShapeMismatch("seq2 must be empty in single mode")
 
 
-def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed):
+def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
     _check_inputs(config, seq1, seq2)
     has_context = seq2.shape[0] > 0
+    n1 = seq1.shape[0]
     masks = None
     if dropout_on:
         # every mask of the run from one call: the same numbers, in the same
         # order, as one (max_seq_len, model_dim) draw per mask
         per_encoder = 1 + 2 * config.num_layers
         count = 2 * per_encoder + 1 if has_context else per_encoder
-        rate = config.dropout_rate
-        draws = np.random.default_rng(rng_seed).random(
-            (count, config.max_seq_len, config.model_dim))
-        masks = iter((draws >= rate) / (1.0 - rate))
-    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, masks)
+        draws = ws.rows("draws", count)
+        np.random.default_rng(rng_seed).random(out=draws)
+        np.greater_equal(draws, config.dropout_rate, out=draws)  # 1.0 or 0.0
+        draws /= 1.0 - config.dropout_rate
+        masks = iter(draws)
+    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, masks, ws)
     cache: dict = {"c1": c1}
     cross_probs = None
     enc2_out = None
     if has_context:
-        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, masks)
-        cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads)
+        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, masks, ws)
+        cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads, ws)
         cross_probs = cx["probs"]
         cache["c2"], cache["cx"] = c2, cx
         if dropout_on:
-            cache["dm_cross"] = next(masks)[: seq1.shape[0]]
+            cache["dm_cross"] = next(masks)[:n1]
             cross_out *= cache["dm_cross"]
-        fused = enc1_out + cross_out
+        fused = np.add(enc1_out, cross_out, out=cross_out)
     else:
         fused = enc1_out
-    pooled = fused.sum(axis=0) / seq1.shape[0]
-    outputs = np.empty(3)
+    pooled = np.add.reduce(fused, axis=0, out=ws.pooled)
+    pooled /= n1
+    outputs = ws.outputs
     for i, head in enumerate(HEAD_NAMES):
         outputs[i] = pooled @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
     cache["pooled"] = pooled
@@ -361,8 +460,12 @@ def forward(
     seq2: np.ndarray,
     dropout_enabled: bool = False,
     rng_seed: int = 0,
+    workspace: Optional[Workspace] = None,
 ) -> ForwardTrace:
-    trace, _ = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed)
+    """The trace's arrays live in ``workspace`` (a fresh one by default), so
+    with a shared workspace they hold until its next use."""
+    ws = Workspace(config) if workspace is None else workspace
+    trace, _ = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
     return trace
 
 
@@ -375,6 +478,7 @@ def backward(
     dropout_enabled: bool = False,
     rng_seed: int = 0,
     grads: Optional[ModelParameters] = None,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[float, ModelParameters]:
     """Loss (mean squared error over the three heads) and its exact gradient
     for every parameter tensor. Re-runs the forward pass internally, so the
@@ -382,11 +486,13 @@ def backward(
 
     The gradient is added into ``grads``, which is returned; it defaults to a
     fresh ``params.zeros_like()``. One accumulator can thus sum a whole batch,
-    and embedding rows no token of the example hits are left untouched."""
+    and embedding rows no token of the example hits are left untouched.
+    ``workspace`` holds the pass's arrays, as for ``forward``."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (3,):
         raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
-    trace, cache = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed)
+    ws = Workspace(config) if workspace is None else workspace
+    trace, cache = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
     if grads is None:
         grads = params.zeros_like()
     diff = trace.outputs - target
@@ -394,19 +500,21 @@ def backward(
     douts = 2.0 * diff / 3.0
 
     pooled = cache["pooled"]
-    dpooled = np.zeros_like(pooled)
+    n1, d = seq1.shape[0], pooled.shape[0]
+    dpooled = ws.dpooled
+    dpooled.fill(0.0)
+    vec = ws.column[:d]
     for i, head in enumerate(HEAD_NAMES):
-        grads[f"head.{head}.w"] += douts[i] * pooled
+        grads[f"head.{head}.w"] += np.multiply(douts[i], pooled, out=vec)
         grads[f"head.{head}.b"] += douts[i]
-        dpooled += douts[i] * params[f"head.{head}.w"]
+        dpooled += np.multiply(douts[i], params[f"head.{head}.w"], out=vec)
 
-    dfused = np.tile(dpooled / seq1.shape[0], (seq1.shape[0], 1))  # each row pools at 1/n
-
-    denc1 = dfused.copy()
+    denc1 = ws.rows("denc1", n1)
+    denc1[...] = np.divide(dpooled, n1, out=vec)  # each row pools at 1/n
     if "cx" in cache:
-        dcross = dfused * cache["dm_cross"] if "dm_cross" in cache else dfused
-        dxq, dxkv = _attention_backward(params, "cross", cache["cx"], dcross, grads)
+        dcross = _dropped(denc1, cache.get("dm_cross"), ws)
+        dxq, dxkv = _attention_backward(params, "cross", cache["cx"], dcross, grads, ws)
         denc1 += dxq
-        _encoder_backward(params, "enc2", config, cache["c2"], dxkv, grads)
-    _encoder_backward(params, "enc1", config, cache["c1"], denc1, grads)
+        _encoder_backward(params, "enc2", config, cache["c2"], dxkv, grads, ws)
+    _encoder_backward(params, "enc1", config, cache["c1"], denc1, grads, ws)
     return loss, grads

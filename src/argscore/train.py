@@ -18,6 +18,7 @@ from argscore.model import (
     ModelConfig,
     ModelParameters,
     Vocabulary,
+    Workspace,
     backward,
     encode_input,
     forward,
@@ -105,19 +106,21 @@ class AdamOptimizer:
     ``params.flat``, with moments ``m`` and ``v`` of its size; on ``train``'s
     compact parameters they cover only the table rows the train split uses.
     That is exact: an element whose gradient, m and v are zero does not change
-    (``p - lr * 0 / (sqrt(0) + eps)`` is ``p``), and an unused row's are zero."""
+    (``p - lr * 0 / (sqrt(0) + eps)`` is ``p``), and an unused row's are zero.
+    The update's block scratch is made once, here, and reused by every step."""
 
     def __init__(self, params: ModelParameters, tcfg: TrainConfig):
         self.t = 0
         self.betas, self.eps = tcfg.adam_betas, tcfg.adam_eps
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self.scratch = kernels.adam_scratch(params.flat.size)
 
     def step(self, params: ModelParameters, grads: ModelParameters, lr: float) -> None:
         self.t += 1
         (beta1, beta2), t = self.betas, self.t
         kernels.adam_update(params.flat, grads.flat, self.m, self.v, lr, beta1, beta2, self.eps,
-                            1.0 - beta1 ** t, 1.0 - beta2 ** t)
+                            1.0 - beta1 ** t, 1.0 - beta2 ** t, scratch=self.scratch)
 
 
 def clip_gradients(grads: ModelParameters, max_norm: float, rows: Optional[dict] = None,
@@ -185,32 +188,37 @@ def train(
     ``params`` is not changed.
 
     Masking leaves each train record one of two kind sets, and each record is
-    encoded under both before the first step. Training runs on compact
-    parameters: each ``*.tok_emb`` table cut to the rows those encodings use
-    (ids renumbered to match; ``forward`` and ``backward`` index by id) and
-    every other tensor whole. The weights, gradients, best snapshot and Adam
-    moments take that layout. It is exact: an unused row has a zero gradient
-    at every step, so Adam leaves it unchanged, and ``clip_gradients`` sums a
-    cut table's squares as the full table's. One full-size copy of ``params``
-    takes the compact weights for each dev evaluation and the best at the end.
+    encoded before the first step under each that ``tcfg.gamma`` can draw:
+    with gamma 1 only ``active_kinds``, with gamma 0 only ``active_kinds``
+    without similar-quality. Training runs on compact parameters: each
+    ``*.tok_emb`` table cut to the rows those encodings use (ids renumbered to
+    match; ``forward`` and ``backward`` index by id) and every other tensor
+    whole. The weights, gradients, best snapshot and Adam moments take that
+    layout. It is exact: an unused row has a zero gradient at every step, so
+    Adam leaves it unchanged, and ``clip_gradients`` sums a cut table's
+    squares as the full table's. One full-size copy of ``params`` takes the
+    compact weights for each dev evaluation and the best at the end.
 
-    Each visit re-masks similar-quality, runs the example with dropout and
-    adds its gradient into the accumulator; ``truncated_tokens`` count every
-    visit. Each batch's sum is averaged, clipped and applied by one Adam step,
-    at a rate falling linearly from ``tcfg.learning_rate`` to zero over the
-    run's ``epochs * ceil(n_train / batch_size)`` steps. ``NonFiniteLoss``
-    stops training on an example loss that is non-finite or above
-    ``LOSS_CEILING``, a non-finite pre-clip gradient norm, or a non-finite
-    parameter after an update (at the first, any of ``params``). With no dev
-    split (or zero epochs) the final parameters are returned."""
+    Each visit re-masks similar-quality, runs the example with dropout in the
+    run's one ``Workspace`` and adds its gradient into the accumulator;
+    ``truncated_tokens`` count every visit. Each batch's sum is averaged,
+    clipped and applied by one Adam step, at a rate falling linearly from
+    ``tcfg.learning_rate`` to zero over the run's ``epochs * ceil(n_train /
+    batch_size)`` steps. ``NonFiniteLoss`` stops training on an example loss
+    that is non-finite or above ``LOSS_CEILING``, a non-finite pre-clip
+    gradient norm, or a non-finite parameter after an update (at the first,
+    any of ``params``). With no dev split (or zero epochs) the final
+    parameters are returned."""
     train_recs, dev_recs = check_splits(dataset)
     targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")
     state = TrainState()
     dropout_on = config.dropout_rate > 0.0
-    kind_sets = dict.fromkeys((tcfg.active_kinds,
-                               tcfg.active_kinds - {AugmentationKind.SIMILAR_QUALITY}))
+    kept, dropped = tcfg.active_kinds, tcfg.active_kinds - {AugmentationKind.SIMILAR_QUALITY}
+    # apply_masking keeps similar-quality when its draw in [0, 1) is below gamma
+    kind_sets = dict.fromkeys(kinds for kinds, drawn in ((kept, tcfg.gamma > 0.0),
+                                                         (dropped, tcfg.gamma < 1.0)) if drawn)
     encoded = {(j, kinds): encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
                for j, rec in enumerate(train_recs) for kinds in kind_sets}
 
@@ -233,6 +241,10 @@ def train(
     optimizer = AdamOptimizer(weights, tcfg)
     full = params.copy()
     input_finite = bool(np.isfinite(params.flat).all())
+    # after the run's long-lived arrays, where the per-example arrays it replaces
+    # were made: made before `full`, its slots split the freed heap block that
+    # `full` reuses, and train-default's peak RSS rose by about 7 MB
+    workspace = Workspace(config)
 
     def scattered(source: ModelParameters) -> ModelParameters:
         for name, rows in cut.items():
@@ -263,7 +275,7 @@ def train(
                     weights, config, enc.seq1, enc.seq2, targets[rec.id],
                     dropout_enabled=dropout_on,
                     rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
-                    grads=grads,
+                    grads=grads, workspace=workspace,
                 )
                 if not math.isfinite(example_loss):
                     raise diverged("non-finite loss", record_id=rec.id, loss=example_loss)
@@ -282,7 +294,7 @@ def train(
         state.epochs_run = epoch + 1
         if dev_recs:
             mean = evaluate(scattered(weights), config, vocab, dataset, augmentations, "dev",
-                            tcfg.active_kinds).mean_spearman()
+                            tcfg.active_kinds, workspace=workspace).mean_spearman()
             dev_score = 0.0 if mean is None else mean
             state.dev_spearman_history.append(dev_score)
             if dev_score > best_score:
@@ -348,10 +360,11 @@ def grad_check(
     seq2 = rng.integers(0, config.vocab_size, n)[: n - 3]
     target = rng.random(3)
 
-    _, analytic = backward(params, config, seq1, seq2, target)
+    workspace = Workspace(config)
+    _, analytic = backward(params, config, seq1, seq2, target, workspace=workspace)
 
     def loss_now() -> float:
-        trace = forward(params, config, seq1, seq2)
+        trace = forward(params, config, seq1, seq2, workspace=workspace)
         return float(np.mean((trace.outputs - target) ** 2))
 
     report: dict[str, float] = {}

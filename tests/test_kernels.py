@@ -1,5 +1,6 @@
 """The numpy kernels against their plain reference expressions."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -68,12 +69,13 @@ def test_adam_update_bitwise_equals_one_line_expression():
     m = np.zeros(n)
     v = np.zeros(n)
     ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    scratch = kernels.adam_scratch(n)  # one for all 50 steps, as AdamOptimizer keeps it
     for t in range(1, 51):
         # magnitudes from 1e-8 to 1e2, both signs
         g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 2.0, n)
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
-        kernels.adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2)
+        kernels.adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2, scratch=scratch)
         ref_m *= beta1
         ref_m += (1.0 - beta1) * g
         ref_v *= beta2
@@ -182,23 +184,41 @@ def _as_tuple(result):
     return result if isinstance(result, tuple) else (result,)
 
 
+def _buffers(kernel, want):
+    """The keyword form: ``out`` shaped as the plain results, and ``scratch``
+    where the kernel takes one, all NaN so that a value left unwritten shows.
+    Each is the head of a larger array, as the network's workspace passes it."""
+    out = tuple(np.full(2 * w.size, np.nan)[: w.size].reshape(w.shape) for w in want)
+    kwargs = {"out": out if len(out) > 1 else out[0]}
+    if "scratch" in inspect.signature(kernel).parameters:
+        kwargs["scratch"] = np.full(4 * want[0].size, np.nan)
+    return kwargs
+
+
 @pytest.mark.parametrize("rows", [1, 49])
 @pytest.mark.parametrize("width", [8, 32, 128])
 def test_kernels_bitwise_equal_plain_expressions(rows, width):
+    """Each kernel, allocating and with ``out``/``scratch``."""
     for kernel, plain, args in _kernel_cases(rows, width):
-        got, want = _as_tuple(kernel(*args)), _as_tuple(plain(*args))
-        assert len(got) == len(want), kernel.__name__
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w), kernel.__name__
+        want = _as_tuple(plain(*args))
+        for kwargs in ({}, _buffers(kernel, want)):
+            got = _as_tuple(kernel(*args, **kwargs))
+            assert len(got) == len(want), kernel.__name__
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), kernel.__name__
+            if kwargs:  # the results are the given out arrays themselves
+                assert all(g is o for g, o in zip(got, _as_tuple(kwargs["out"]))), kernel.__name__
 
 
 @pytest.mark.parametrize("rows", [1, 49])
 def test_kernels_leave_their_arguments_unchanged(rows):
-    for kernel, _, args in _kernel_cases(rows, 32):
+    """Each kernel, allocating and with ``out``/``scratch``."""
+    for kernel, plain, args in _kernel_cases(rows, 32):
         before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        result = _as_tuple(kernel(*args))
-        for a, b in zip(args, before):
-            assert np.array_equal(a, b), kernel.__name__
-        for r in result:  # no result is a view of an argument
-            assert not any(np.shares_memory(r, a) for a in args
-                           if isinstance(a, np.ndarray)), kernel.__name__
+        for kwargs in ({}, _buffers(kernel, _as_tuple(plain(*args)))):
+            result = _as_tuple(kernel(*args, **kwargs))
+            for a, b in zip(args, before):
+                assert np.array_equal(a, b), kernel.__name__
+            for r in result:  # no result is a view of an argument
+                assert not any(np.shares_memory(r, a) for a in args
+                               if isinstance(a, np.ndarray)), kernel.__name__

@@ -92,3 +92,18 @@ def test_shape_mismatch_errors():
         forward(params, config, np.concatenate([seq1, seq1]), seq2)
     with pytest.raises(ShapeMismatch):
         forward(params, config, seq1[:0], seq2)
+
+
+def test_token_ids_outside_the_table_raise():
+    """As indexing the table by them would: the workspace's take wraps ids."""
+    config = small_config()
+    params = init_parameters(config, seed=0)
+    seq1, seq2 = random_example(config, 0)
+    for bad in (config.vocab_size, -config.vocab_size - 1):
+        with pytest.raises(IndexError):
+            forward(params, config, np.append(seq1, bad), seq2)
+        with pytest.raises(IndexError):
+            forward(params, config, seq1, np.append(seq2, bad))
+    wrapped = np.append(seq1[:-1], seq1[-1] - config.vocab_size)  # a negative id counts back
+    assert forward(params, config, wrapped, seq2).outputs.tobytes() == \
+        forward(params, config, seq1, seq2).outputs.tobytes()

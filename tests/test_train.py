@@ -361,7 +361,10 @@ def test_seeded_dual_training_reproduces_recorded_values():
     pinned(out, [0.1419813290468829, 0.14427936155541488, 0.12262468605001356])
 
 
-def test_each_record_and_kind_set_is_encoded_once(monkeypatch):
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_each_record_and_kind_set_is_encoded_once(monkeypatch, gamma):
+    """Only the kind sets masking can draw: with similar-quality at gamma 1,
+    without it at gamma 0, and both in between."""
     ds, vocab = _memo_dataset()
     config = _memo_config(vocab)
     calls = []
@@ -372,10 +375,11 @@ def test_each_record_and_kind_set_is_encoded_once(monkeypatch):
 
     monkeypatch.setattr(train_mod, "encode_input", counting)
     aug = {r.id: FULL_AUG for r in ds.records}
-    tcfg = TrainConfig(epochs=3, gamma=0.5, rng_seed=0)
+    tcfg = TrainConfig(epochs=3, gamma=gamma, rng_seed=0)
     train(init_parameters(config, 1), config, tcfg, ds, aug, vocab)
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= 2 * len(ds.split("train"))  # with and without similar-quality
+    drawn = {0.0: {ALL_KINDS - {SQ}}, 0.5: {ALL_KINDS, ALL_KINDS - {SQ}}, 1.0: {ALL_KINDS}}[gamma]
+    assert len(calls) == len(set(calls)) == len(drawn) * len(ds.split("train"))
+    assert {kinds for _, kinds in calls} == drawn
 
 
 def test_truncated_tokens_count_every_visit():
