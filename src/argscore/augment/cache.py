@@ -42,9 +42,6 @@ class PromptCache:
         material = f"{kind}\x00{model}\x00{temperature!r}\x00{prompt}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def path_for(self, key: str) -> Path:
-        return self.directory / key
-
     def get(self, key: str, prompt: str) -> tuple[str, str] | None:
         """The stored response and its ``created_at``, or None on a miss."""
         path = os.path.join(self._dir, key)

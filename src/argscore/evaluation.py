@@ -1,6 +1,9 @@
 """Scoring of a split: prediction, Pearson/Spearman correlation against gold
-labels, per-metric report rows, and the ablation table. ``evaluate`` is the
-one function that scores a split; training selects its best epoch with it."""
+labels, per-metric report rows, and the ablation table. A split is encoded
+once; ``predict`` returns every encoding's head outputs and ``score``
+correlates them with the records' gold. ``evaluate`` does all three in one
+call; ``train`` encodes its dev split once and predicts and scores it after
+each epoch."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER, MissingLabels
-from argscore.corpus import Dataset
+from argscore.corpus import ArgumentRecord, Dataset
 from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, encoding, network
 
 
@@ -102,12 +105,39 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
     return "+".join(k.value for k in KIND_ORDER if k in active)
 
 
-def predict(params, config, vocab, record, aug, active_kinds=(), workspace=None) -> np.ndarray:
-    """Deterministic inference for one record; no dropout, no masking. Returns
-    the three unclamped head outputs, which live in ``workspace`` when one is
-    given (see ``network.forward``)."""
-    enc = encoding.encode_input(record, aug, vocab, config, active_kinds)
-    return network.forward(params, config, enc.seq1, enc.seq2, workspace=workspace).outputs
+def predict(params: ModelParameters, config: ModelConfig,
+            encoded: Sequence[encoding.EncodedExample],
+            workspace: Optional[network.Workspace] = None) -> np.ndarray:
+    """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout;
+    every forward pass runs in ``workspace``, by default a new one."""
+    raw = np.empty((len(encoded), 3))
+    workspace = network.Workspace(config) if workspace is None else workspace
+    for i, enc in enumerate(encoded):
+        raw[i] = network.forward(params, config, enc.seq1, enc.seq2, workspace=workspace).outputs
+    return raw
+
+
+def score(records: Sequence[ArgumentRecord], raw: np.ndarray, dataset: str, split: str,
+          mode: str, active_kinds: Iterable[AugmentationKind] = ()) -> EvalRow:
+    """The ``EvalRow`` of ``raw``, the predicted rows of ``records``. Heads are
+    scored over the records with three scores, ``wa`` (the heads' mean) over
+    those and the ``wa``-only records, in record order; ``n`` counts every
+    record. Raises ``MissingLabels`` when no record has gold."""
+    three = [i for i, r in enumerate(records) if r.labels is not None]
+    wa = [i for i, r in enumerate(records) if r.labels is not None or r.wa_label is not None]
+    if not wa:
+        raise MissingLabels(f"split {split!r} carries no gold labels")
+    row = EvalRow(dataset=dataset, split=split, mode=mode, augs=augs_label(active_kinds),
+                  n=len(records))
+    for m, head in enumerate(HEAD_NAMES if three else ()):
+        gold = np.array([records[i].labels.normalized()[m] for i in three])
+        setattr(row, f"{head}_s", spearman(raw[three, m], gold))
+        setattr(row, f"{head}_p", pearson(raw[three, m], gold))
+    pred_wa = [float(raw[i].mean()) for i in wa]
+    gold_wa = [records[i].wa_label if records[i].labels is None
+               else float(np.mean(records[i].labels.normalized())) for i in wa]
+    row.wa_s, row.wa_p = spearman(pred_wa, gold_wa), pearson(pred_wa, gold_wa)
+    return row
 
 
 def evaluate(
@@ -118,51 +148,17 @@ def evaluate(
     augmentations: dict[str, AugmentationSet],
     split: str,
     active_kinds: Iterable[AugmentationKind] = (),
-    workspace: Optional[network.Workspace] = None,
 ) -> EvalRow:
-    """Predict every record of the split (no masking; all present active
-    context texts supplied) and correlate unclamped outputs with gold. Every
-    forward pass runs in ``workspace``, by default one made for this call.
-
-    This is the one scoring path: ``train`` picks its best epoch by this
-    row's ``mean_spearman()`` on the dev split, in its own workspace."""
+    """Encode every record of the split once (no masking; every present active
+    context text), ``predict`` and ``score``; ``EmptySplit`` on no records."""
     records = dataset.split(split)
     if not records:
         raise EmptySplit(f"split {split!r} of {dataset.name!r} is empty")
     active = set(active_kinds)
-    raw = np.empty((len(records), 3))
-    workspace = network.Workspace(config) if workspace is None else workspace
-    for i, rec in enumerate(records):
-        raw[i] = predict(params, config, vocab, rec, augmentations.get(rec.id), active,
-                         workspace=workspace)
-
-    row = EvalRow(
-        dataset=dataset.name, split=split, mode=config.mode,
-        augs=augs_label(active), n=len(records),
-    )
-    labeled = [(i, r) for i, r in enumerate(records) if r.labels is not None]
-    if labeled:
-        idx = [i for i, _ in labeled]
-        for m, head in enumerate(HEAD_NAMES):
-            gold = np.array([r.labels.normalized()[m] for _, r in labeled])
-            setattr(row, f"{head}_s", spearman(raw[idx, m], gold))
-            setattr(row, f"{head}_p", pearson(raw[idx, m], gold))
-
-    wa_pairs = []
-    for i, rec in enumerate(records):
-        if rec.labels is not None:
-            wa_pairs.append((float(raw[i].mean()), float(np.mean(rec.labels.normalized()))))
-        elif rec.wa_label is not None:
-            wa_pairs.append((float(raw[i].mean()), rec.wa_label))
-    if wa_pairs:
-        pred_wa = [p for p, _ in wa_pairs]
-        gold_wa = [g for _, g in wa_pairs]
-        row.wa_s = spearman(pred_wa, gold_wa)
-        row.wa_p = pearson(pred_wa, gold_wa)
-
-    if not labeled and not wa_pairs:
-        raise MissingLabels(f"split {split!r} carries no gold labels")
-    return row
+    encoded = [encoding.encode_input(rec, augmentations.get(rec.id), vocab, config, active)
+               for rec in records]
+    return score(records, predict(params, config, encoded), dataset.name, split, config.mode,
+                 active)
 
 
 def _fmt(value: Optional[float]) -> str:

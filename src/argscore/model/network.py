@@ -26,8 +26,8 @@ passes write: the dropout draws, each layer's activations, attention scores
 and probabilities, the FFN and GELU temporaries, and the backward deltas.
 Each is sized at ``max_seq_len`` rows and used through contiguous views of
 its head. ``forward`` and ``backward`` make a fresh one unless they are given
-one; ``train`` keeps one for its run and ``evaluate`` one per call, so a run
-of examples allocates none of these arrays per example. What is still
+one; ``train`` keeps one for its run and ``evaluation.predict`` one per split,
+so a run of examples allocates none of these arrays per example. What is still
 allocated per call is small: the kernels' row statistics and numpy's own
 iterator buffers.
 Results go there through ``out=`` into contiguous arrays of the shapes the

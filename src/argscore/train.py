@@ -10,9 +10,9 @@ from typing import Optional
 
 import numpy as np
 
+from argscore import evaluation
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import ArgumentRecord, Dataset
-from argscore.evaluation import evaluate
 from argscore.model import (
     EncodedExample,
     ModelConfig,
@@ -181,11 +181,11 @@ def train(
 ) -> tuple[ModelParameters, TrainState, AdamOptimizer]:
     """Optimize on the train split; model selection by mean dev Spearman.
 
-    After each epoch the dev split is scored by ``evaluation.evaluate`` with
-    ``tcfg.active_kinds`` (no masking), and the parameters of the epoch with
-    the highest ``mean_spearman()`` are returned; a row whose correlations are
-    all undefined counts as 0.0. ``check_splits`` checks the splits first;
-    ``params`` is not changed.
+    The dev split is encoded once, with ``tcfg.active_kinds`` (no masking).
+    After each epoch ``evaluation.predict`` and ``evaluation.score`` score it,
+    and the parameters of the epoch with the highest ``mean_spearman()`` are
+    returned; a row whose correlations are all undefined counts as 0.0.
+    ``check_splits`` checks the splits first; ``params`` is not changed.
 
     Masking leaves each train record one of two kind sets, and each record is
     encoded before the first step under each that ``tcfg.gamma`` can draw:
@@ -221,6 +221,8 @@ def train(
                                                          (dropped, tcfg.gamma < 1.0)) if drawn)
     encoded = {(j, kinds): encode_input(rec, augmentations.get(rec.id), vocab, config, kinds)
                for j, rec in enumerate(train_recs) for kinds in kind_sets}
+    dev_encoded = [encode_input(rec, augmentations.get(rec.id), vocab, config, tcfg.active_kinds)
+                   for rec in dev_recs]
 
     cut = {name: slice(None) for name in params.shapes}  # the rows that training changes
     tables, renumber = {}, {}  # renumber: seq1 or seq2 -> the compact row of each full id
@@ -293,8 +295,9 @@ def train(
         state.loss_history.append(float(np.mean(epoch_losses)))
         state.epochs_run = epoch + 1
         if dev_recs:
-            mean = evaluate(scattered(weights), config, vocab, dataset, augmentations, "dev",
-                            tcfg.active_kinds, workspace=workspace).mean_spearman()
+            raw = evaluation.predict(scattered(weights), config, dev_encoded, workspace)
+            mean = evaluation.score(dev_recs, raw, dataset.name, "dev", config.mode,
+                                    tcfg.active_kinds).mean_spearman()
             dev_score = 0.0 if mean is None else mean
             state.dev_spearman_history.append(dev_score)
             if dev_score > best_score:

@@ -232,7 +232,7 @@ class TestGenerate:
         cache, provider = PromptCache(tmp_path), CountingClock()
         result = generate(make_record(), {AugmentationKind.FEEDBACK}, provider, cache=cache)
         meta = result.metadata["feedback"]
-        entry = json.loads(cache.path_for(meta.prompt_hash).read_text(encoding="utf-8"))
+        entry = json.loads((cache.directory / meta.prompt_hash).read_text(encoding="utf-8"))
         assert entry["created_at"] == meta.timestamp
         # a hit reports when its entry was written, not when it was looked up
         again = generate(make_record(), {AugmentationKind.FEEDBACK}, provider, cache=cache)

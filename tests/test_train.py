@@ -12,11 +12,13 @@ from argscore.model import (
     backward,
     build_vocab,
     encode_input,
+    encoding,
     forward,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
 )
+from argscore import evaluation
 from argscore.evaluation import evaluate
 from argscore.seeding import derive_seed, stream
 from argscore import train as train_mod
@@ -364,22 +366,41 @@ def test_seeded_dual_training_reproduces_recorded_values():
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
 def test_each_record_and_kind_set_is_encoded_once(monkeypatch, gamma):
     """Only the kind sets masking can draw: with similar-quality at gamma 1,
-    without it at gamma 0, and both in between."""
-    ds, vocab = _memo_dataset()
+    without it at gamma 0, and both in between. Each dev record is encoded
+    once per run, under ``active_kinds``, and predicted once per epoch through
+    ``evaluation.predict``, where the benchmark's tracer patches it."""
+    ds, vocab = _memo_dataset(n=20)
+    ds = Dataset(records=ds.records, name=ds.name,
+                 split_assignment={r.id: "dev" if i >= 16 else "train"
+                                   for i, r in enumerate(ds.records)})
     config = _memo_config(vocab)
-    calls = []
+    calls, predicted = [], []
+    real_predict = evaluation.predict
 
-    def counting(record, aug, vocab, config, kinds):
-        calls.append((record.id, frozenset(kinds)))
-        return encode_input(record, aug, vocab, config, kinds)
+    def counting(encode):
+        def wrapper(record, aug, vocab, config, kinds):
+            calls.append((record.id, frozenset(kinds)))
+            return encode(record, aug, vocab, config, kinds)
+        return wrapper
 
-    monkeypatch.setattr(train_mod, "encode_input", counting)
+    def predict(*args, **kwargs):
+        predicted.append(args)
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "encode_input", counting(train_mod.encode_input))
+    monkeypatch.setattr(encoding, "encode_input", counting(encoding.encode_input))
+    monkeypatch.setattr(evaluation, "predict", predict)
     aug = {r.id: FULL_AUG for r in ds.records}
     tcfg = TrainConfig(epochs=3, gamma=gamma, rng_seed=0)
     train(init_parameters(config, 1), config, tcfg, ds, aug, vocab)
     drawn = {0.0: {ALL_KINDS - {SQ}}, 0.5: {ALL_KINDS, ALL_KINDS - {SQ}}, 1.0: {ALL_KINDS}}[gamma]
-    assert len(calls) == len(set(calls)) == len(drawn) * len(ds.split("train"))
-    assert {kinds for _, kinds in calls} == drawn
+    dev_ids = {r.id for r in ds.split("dev")}
+    train_calls = [c for c in calls if c[0] not in dev_ids]
+    assert len(train_calls) == len(set(train_calls)) == len(drawn) * len(ds.split("train"))
+    assert {kinds for _, kinds in train_calls} == drawn
+    assert [c for c in calls if c[0] in dev_ids] == [(r.id, ALL_KINDS) for r in ds.split("dev")]
+    assert len(predicted) == tcfg.epochs
+    assert all(len(args[2]) == len(dev_ids) for args in predicted)
 
 
 def test_truncated_tokens_count_every_visit():
