@@ -155,7 +155,9 @@ def cmd_train(args) -> int:
     train_settings = dict(cfg.train)
     if args.epochs is not None:
         train_settings["epochs"] = args.epochs
-    if args.augs is not None:
+    if args.no_augs:
+        train_settings["active_kinds"] = []  # no context is read
+    elif args.augs is not None:
         train_settings["active_kinds"] = sorted(k.value for k in parse_kinds(args.augs))
     train_settings.setdefault("rng_seed", cfg.seed)
     tcfg = from_json(train_mod.TrainConfig, train_settings, "train")
@@ -194,6 +196,8 @@ def cmd_evaluate(args) -> int:
         # same seeded assignment train derives for split-less files
         dataset = _ensure_splits(dataset, cfg)
     active = parse_kinds(args.augs)
+    if not cfg.augmentations:
+        active = set()  # no context is read, so the row is labelled with no kinds
     scored = dataset.split(args.split) if active else []  # read with context: each needs a set
     augmentations = read_augmentations(cfg.augmentations, scored) if cfg.augmentations else {}
 

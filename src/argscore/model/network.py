@@ -15,25 +15,31 @@ cross-attention, and its context sequence must be empty.
 Each dropout mask is drawn at ``max_seq_len`` rows and cut to the sequence's
 length, so the seeded stream does not depend on how long a sequence is. A
 forward pass draws all its masks in one ``rng.random`` call of shape
-``(count, max_seq_len, model_dim)``: ``1 + 2 * num_layers`` per encoder run
-(embedding, then attention and FFN per layer), and one for cross-attention.
-They are handed out in that order, encoder 1 first, which reads the stream
-exactly as one draw per mask would. Each mask is ``(draw >= rate) / (1 -
-rate)`` (inverted dropout), made in place over the whole block at once.
+``(count, max_seq_len, model_dim)``, which reads the stream exactly as one
+draw per mask would, and makes each ``(draw >= rate) / (1 - rate)``
+(inverted dropout) in place. The forward and backward passes read a mask by
+its index in that block: an encoder's embedding mask at 0, its layer ``l``'s
+attention mask at ``1 + 2l`` and FFN mask at ``2 + 2l``; encoder 1's block
+first, then encoder 2's (from ``1 + 2 * num_layers``), then cross-attention's
+last. A pass without context draws encoder 1's alone.
 
 A ``Workspace`` holds every array that one example's forward and backward
 passes write: the dropout draws, each layer's activations, attention scores
 and probabilities, the FFN and GELU temporaries, and the backward deltas.
 Each is sized at ``max_seq_len`` rows and used through contiguous views of
-its head. ``forward`` and ``backward`` make a fresh one unless they are given
-one; ``train`` keeps one for its run and ``evaluation.predict`` one per split,
-so a run of examples allocates none of these arrays per example. What is still
-allocated per call is small: the kernels' row statistics and numpy's own
-iterator buffers.
+its head. A slot named after a part of the model (``enc1.layer0.ln2.y``,
+``enc1.layer0.h1``, ``cross.probs``) is the one record of that part's forward
+pass: ``backward`` runs the forward pass into the workspace, then reads each
+part's inputs and activations back from those slots. ``forward`` and
+``backward`` make a fresh workspace unless they are given one; ``train``
+keeps one for its run and ``evaluation.predict`` one per split, so a run of
+examples allocates none of these arrays per example. What is still allocated
+per call is small: the kernels' row statistics and numpy's own iterator
+buffers.
 Results go there through ``out=`` into contiguous arrays of the shapes the
 plain expressions would allocate, which keeps their BLAS calls, their
-reduction order and every output byte. A ``ForwardTrace`` made with a shared
-workspace aliases it: its arrays hold until the workspace's next use.
+reduction order and every output byte. A ``ForwardTrace``'s arrays are views
+of the workspace's slots: they alias it, and hold until its next use.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -42,7 +48,7 @@ absolute positional embeddings and a GELU feed-forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,16 +94,18 @@ class ModelParameters(dict):
 
 @dataclass
 class ForwardTrace:
-    """Intermediate quantities exposed for inspection and tests. Its arrays
-    are views of the pass's workspace, so they hold until that is used again."""
+    """Intermediate quantities exposed for inspection and tests. Each array is
+    a view of a slot of the pass's workspace (``enc1.final_ln.y``,
+    ``enc1.layer0.attn.probs``, ``cross.probs``, ...), not a copy: it aliases
+    the workspace and holds until that is used again."""
 
     enc1_states: np.ndarray
     enc2_states: Optional[np.ndarray]
-    enc1_self_attn: list[np.ndarray] = field(default_factory=list)
-    enc2_self_attn: list[np.ndarray] = field(default_factory=list)
-    cross_attn: Optional[np.ndarray] = None
-    pooled: np.ndarray = None
-    outputs: np.ndarray = None
+    enc1_self_attn: list[np.ndarray]
+    enc2_self_attn: list[np.ndarray]
+    cross_attn: Optional[np.ndarray]
+    pooled: np.ndarray
+    outputs: np.ndarray
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -162,9 +170,11 @@ class Workspace:
     ``rows(name, n)`` is its first ``n``. A head slot is flat, and
     ``heads(name, h, n, k)`` is its first ``h * n * k`` elements as a
     contiguous (h, n, k) array. A slot named after a layer norm, FFN or
-    attention (``enc1.layer0.ln1.y``, ``cross.probs``) holds what ``backward``
-    reads of that part's forward pass; the others hold temporaries that each
-    part reuses in turn."""
+    attention (``enc1.layer0.ln1.y``, ``cross.probs``) is the one record of
+    that part's forward pass, and ``backward`` reads it from there; the
+    others hold temporaries that each part reuses in turn. ``draws`` holds
+    the pass's dropout masks, read by index in the order the module
+    docstring states."""
 
     def __init__(self, config: ModelConfig):
         L, d, f = config.max_seq_len, config.model_dim, config.ffn_dim
@@ -229,9 +239,11 @@ def _add_column_sum(grad: np.ndarray, x: np.ndarray, ws: Workspace) -> None:
     grad += np.add.reduce(x, axis=0, out=ws.column[: x.shape[1]])
 
 
-def _dropped(dx: np.ndarray, mask: Optional[np.ndarray], ws: Workspace) -> np.ndarray:
-    """``dx * mask`` in the workspace, or ``dx`` when dropout is off."""
-    return dx if mask is None else np.multiply(dx, mask, out=ws.rows("dmasked", dx.shape[0]))
+def _dropped(dx: np.ndarray, masks: Optional[np.ndarray], i: int, ws: Workspace) -> np.ndarray:
+    """``dx`` times mask ``i`` of ``masks`` in the workspace, or ``dx`` when
+    dropout is off (``masks`` is None)."""
+    n = dx.shape[0]
+    return dx if masks is None else np.multiply(dx, masks[i][:n], out=ws.rows("dmasked", n))
 
 
 def _layer_norm(p, ln, x, ws):
@@ -253,51 +265,43 @@ def _layer_norm_backward(p, ln, dy, ws, slot, grads):
     return dx
 
 
+def _split_qkv(prefix, nq, nk, num_heads, ws):
+    """The queries, keys and values in the ``prefix`` slots, split into heads."""
+    return (_split_heads(ws.rows(f"{prefix}.q", nq), num_heads),
+            _split_heads(ws.rows(f"{prefix}.k", nk), num_heads),
+            _split_heads(ws.rows(f"{prefix}.v", nk), num_heads))
+
+
 def _attention(p, prefix, xq, xkv, num_heads, ws):
-    """Shared multi-head attention; returns output and backward cache. What
-    backward reads goes to the ``prefix`` slots, the output to ``proj``."""
-    wq, bq = p[f"{prefix}.wq"], p[f"{prefix}.bq"]
-    wk, bk = p[f"{prefix}.wk"], p[f"{prefix}.bk"]
-    wv, bv = p[f"{prefix}.wv"], p[f"{prefix}.bv"]
-    wo, bo = p[f"{prefix}.wo"], p[f"{prefix}.bo"]
+    """Multi-head attention of ``xq`` onto ``xkv``; the output goes to
+    ``proj``, and what ``backward`` reads to the ``prefix`` slots."""
     (nq, d), nk = xq.shape, xkv.shape[0]
-    q = np.matmul(xq, wq, out=ws.rows(f"{prefix}.q", nq))
-    q += bq
-    k = np.matmul(xkv, wk, out=ws.rows(f"{prefix}.k", nk))
-    k += bk
-    v = np.matmul(xkv, wv, out=ws.rows(f"{prefix}.v", nk))
-    v += bv
-    qh = _split_heads(q, num_heads)
-    kh = _split_heads(k, num_heads)
-    vh = _split_heads(v, num_heads)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    for name, x in (("q", xq), ("k", xkv), ("v", xkv)):
+        projected = np.matmul(x, p[f"{prefix}.w{name}"], out=ws.rows(f"{prefix}.{name}", len(x)))
+        projected += p[f"{prefix}.b{name}"]
+    qh, kh, vh = _split_qkv(prefix, nq, nk, num_heads, ws)
     scores = np.matmul(qh, kh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, nq, nk))
-    scores *= scale
+    scores *= 1.0 / math.sqrt(d // num_heads)
     probs = kernels.masked_softmax(scores, out=ws.heads(f"{prefix}.probs", num_heads, nq, nk))
     heads = np.matmul(probs, vh, out=ws.heads("heads", num_heads, nq, d // num_heads))
     ctx = _merge_heads(heads, ws.rows(f"{prefix}.ctx", nq))
-    out = np.matmul(ctx, wo, out=ws.rows("proj", nq))
-    out += bo
-    cache = {
-        "xq": xq, "xkv": xkv, "qh": qh, "kh": kh, "vh": vh,
-        "probs": probs, "ctx": ctx, "scale": scale, "num_heads": num_heads,
-    }
-    return out, cache
+    out = np.matmul(ctx, p[f"{prefix}.wo"], out=ws.rows("proj", nq))
+    out += p[f"{prefix}.bo"]
+    return out
 
 
-def _attention_backward(p, prefix, cache, dout, grads, ws):
+def _attention_backward(p, prefix, xq, xkv, num_heads, dout, grads, ws):
     """Returns (dxq, dxkv), in the ``dxq`` and ``dxkv`` slots, and accumulates
-    parameter gradients."""
-    wq, wk, wv, wo = p[f"{prefix}.wq"], p[f"{prefix}.wk"], p[f"{prefix}.wv"], p[f"{prefix}.wo"]
-    xq, xkv = cache["xq"], cache["xkv"]
-    qh, kh, vh = cache["qh"], cache["kh"], cache["vh"]
-    probs, ctx, scale = cache["probs"], cache["ctx"], cache["scale"]
-    num_heads = cache["num_heads"]
-    nq, nk, dh = xq.shape[0], xkv.shape[0], vh.shape[-1]
+    parameter gradients; reads the forward pass from the ``prefix`` slots."""
+    (nq, d), nk = xq.shape, xkv.shape[0]
+    dh = d // num_heads
+    qh, kh, vh = _split_qkv(prefix, nq, nk, num_heads, ws)
+    probs = ws.heads(f"{prefix}.probs", num_heads, nq, nk)
+    scale = 1.0 / math.sqrt(dh)
 
-    _add_product(grads[f"{prefix}.wo"], ctx.T, dout, ws)
+    _add_product(grads[f"{prefix}.wo"], ws.rows(f"{prefix}.ctx", nq).T, dout, ws)
     _add_column_sum(grads[f"{prefix}.bo"], dout, ws)
-    dctx = np.matmul(dout, wo.T, out=ws.rows("dctx", nq))
+    dctx = np.matmul(dout, p[f"{prefix}.wo"].T, out=ws.rows("dctx", nq))
     dctx_h = _split_heads(dctx, num_heads)
     dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1), out=ws.heads("dprobs", num_heads, nq, nk))
     dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h, out=ws.heads("dvh", num_heads, nk, dh))
@@ -309,23 +313,20 @@ def _attention_backward(p, prefix, cache, dout, grads, ws):
     dq = _merge_heads(dqh, ws.rows("dq", nq))
     dk = _merge_heads(dkh, ws.rows("dk", nk))
     dv = _merge_heads(dvh, ws.rows("dv", nk))
-    _add_product(grads[f"{prefix}.wq"], xq.T, dq, ws)
-    _add_column_sum(grads[f"{prefix}.bq"], dq, ws)
-    _add_product(grads[f"{prefix}.wk"], xkv.T, dk, ws)
-    _add_column_sum(grads[f"{prefix}.bk"], dk, ws)
-    _add_product(grads[f"{prefix}.wv"], xkv.T, dv, ws)
-    _add_column_sum(grads[f"{prefix}.bv"], dv, ws)
-    dxq = np.matmul(dq, wq.T, out=ws.rows("dxq", nq))
-    dxkv = np.matmul(dk, wk.T, out=ws.rows("dxkv", nk))
-    dxkv += np.matmul(dv, wv.T, out=ws.rows("dxkv_v", nk))
+    for name, x, dy in (("q", xq, dq), ("k", xkv, dk), ("v", xkv, dv)):
+        _add_product(grads[f"{prefix}.w{name}"], x.T, dy, ws)
+        _add_column_sum(grads[f"{prefix}.b{name}"], dy, ws)
+    dxq = np.matmul(dq, p[f"{prefix}.wq"].T, out=ws.rows("dxq", nq))
+    dxkv = np.matmul(dk, p[f"{prefix}.wk"].T, out=ws.rows("dxkv", nk))
+    dxkv += np.matmul(dv, p[f"{prefix}.wv"].T, out=ws.rows("dxkv_v", nk))
     return dxq, dxkv
 
 
 def _encoder_forward(p, enc, ids, config, masks, ws):
-    """``masks`` yields the ``(max_seq_len, model_dim)`` inverted-dropout
-    masks, one per use; None turns dropout off."""
+    """The encoder's output, in its ``final_ln.y`` slot. ``masks`` holds its
+    inverted-dropout masks by index: the embedding's at 0, layer ``l``'s
+    attention at ``1 + 2l`` and FFN at ``2 + 2l``; None turns dropout off."""
     n = ids.shape[0]
-    dropout_on = masks is not None
     table = p[f"{enc}.tok_emb"]
     size = table.shape[0]
     # indexing's bounds check: take's mode="raise" would write through a copy of `out`
@@ -333,20 +334,14 @@ def _encoder_forward(p, enc, ids, config, masks, ws):
         raise IndexError(f"{enc}: a token id is out of range for {size} embedding rows")
     x = table.take(ids, axis=0, out=ws.rows("x", n), mode="wrap")
     x += p[f"{enc}.pos_emb"][:n]
-    cache: dict = {"ids": ids, "layers": [], "attn_probs": []}
-    if dropout_on:
-        dm = next(masks)[:n]
-        cache["dm_emb"] = dm
-        x *= dm
+    if masks is not None:
+        x *= masks[0][:n]
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
         y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws)
-        attn_out, ac = _attention(p, f"{base}.attn", y1, y1, config.num_heads, ws)
-        lc: dict = {"attn": ac}
-        cache["attn_probs"].append(ac["probs"])
-        if dropout_on:
-            lc["dm_attn"] = next(masks)[:n]
-            attn_out *= lc["dm_attn"]
+        attn_out = _attention(p, f"{base}.attn", y1, y1, config.num_heads, ws)
+        if masks is not None:
+            attn_out *= masks[1 + 2 * layer][:n]
         x += attn_out
         y2, _, _ = _layer_norm(p, f"{base}.ln2", x, ws)
         h1 = np.matmul(y2, p[f"{base}.ffn.w1"], out=ws.rows(f"{base}.h1", n))
@@ -354,40 +349,41 @@ def _encoder_forward(p, enc, ids, config, masks, ws):
         a = kernels.gelu(h1, out=ws.rows(f"{base}.a", n), scratch=ws.scratch)
         ffn_out = np.matmul(a, p[f"{base}.ffn.w2"], out=ws.rows("proj", n))
         ffn_out += p[f"{base}.ffn.b2"]
-        lc["y2"], lc["h1"], lc["a"] = y2, h1, a
-        if dropout_on:
-            lc["dm_ffn"] = next(masks)[:n]
-            ffn_out *= lc["dm_ffn"]
+        if masks is not None:
+            ffn_out *= masks[2 + 2 * layer][:n]
         x += ffn_out
-        cache["layers"].append(lc)
     out, _, _ = _layer_norm(p, f"{enc}.final_ln", x, ws)
-    return out, cache
+    return out
 
 
-def _encoder_backward(p, enc, config, cache, dout, grads, ws):
-    """Reads ``dout`` before it writes any slot that ``dout`` may be."""
-    n = dout.shape[0]
+def _encoder_backward(p, enc, ids, config, masks, dout, grads, ws):
+    """Reads the forward pass of ``ids`` from the encoder's slots and
+    ``masks`` as ``_encoder_forward`` does, and ``dout`` before it writes any
+    slot that ``dout`` may be."""
+    n = ids.shape[0]
     dx = _layer_norm_backward(p, f"{enc}.final_ln", dout, ws, "dx", grads)
     for layer in reversed(range(config.num_layers)):
         base = f"{enc}.layer{layer}"
-        lc = cache["layers"][layer]
-        df = _dropped(dx, lc.get("dm_ffn"), ws)
-        _add_product(grads[f"{base}.ffn.w2"], lc["a"].T, df, ws)
+        df = _dropped(dx, masks, 2 + 2 * layer, ws)
+        _add_product(grads[f"{base}.ffn.w2"], ws.rows(f"{base}.a", n).T, df, ws)
         _add_column_sum(grads[f"{base}.ffn.b2"], df, ws)
         da = np.matmul(df, p[f"{base}.ffn.w2"].T, out=ws.rows("da", n))
-        dh1 = kernels.gelu_grad(da, lc["h1"], out=ws.rows("dh1", n), scratch=ws.scratch)
-        _add_product(grads[f"{base}.ffn.w1"], lc["y2"].T, dh1, ws)
+        dh1 = kernels.gelu_grad(da, ws.rows(f"{base}.h1", n), out=ws.rows("dh1", n),
+                                scratch=ws.scratch)
+        _add_product(grads[f"{base}.ffn.w1"], ws.rows(f"{base}.ln2.y", n).T, dh1, ws)
         _add_column_sum(grads[f"{base}.ffn.b1"], dh1, ws)
         dy2 = np.matmul(dh1, p[f"{base}.ffn.w1"].T, out=ws.rows("dy", n))
         dx += _layer_norm_backward(p, f"{base}.ln2", dy2, ws, "dln", grads)  # dx1
-        dattn = _dropped(dx, lc.get("dm_attn"), ws)
+        dattn = _dropped(dx, masks, 1 + 2 * layer, ws)
         # self-attention: queries and keys/values are the same states
-        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", lc["attn"], dattn, grads, ws)
+        y1 = ws.rows(f"{base}.ln1.y", n)
+        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", y1, y1, config.num_heads,
+                                          dattn, grads, ws)
         dy1 = np.add(dy1q, dy1kv, out=ws.rows("dy", n))
         dx += _layer_norm_backward(p, f"{base}.ln1", dy1, ws, "dln", grads)
-    if "dm_emb" in cache:
-        dx *= cache["dm_emb"]
-    np.add.at(grads[f"{enc}.tok_emb"], cache["ids"], dx)
+    if masks is not None:
+        dx *= masks[0][:n]
+    np.add.at(grads[f"{enc}.tok_emb"], ids, dx)
     grads[f"{enc}.pos_emb"][:n] += dx
 
 
@@ -406,51 +402,44 @@ def _check_inputs(config, seq1, seq2):
 
 
 def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
+    """The pass's trace, and its dropout masks (the ``draws`` rows) or None."""
     _check_inputs(config, seq1, seq2)
-    has_context = seq2.shape[0] > 0
-    n1 = seq1.shape[0]
+    (n1,), (n2,) = seq1.shape, seq2.shape
     masks = None
     if dropout_on:
         # every mask of the run from one call: the same numbers, in the same
         # order, as one (max_seq_len, model_dim) draw per mask
         per_encoder = 1 + 2 * config.num_layers
-        count = 2 * per_encoder + 1 if has_context else per_encoder
-        draws = ws.rows("draws", count)
-        np.random.default_rng(rng_seed).random(out=draws)
-        np.greater_equal(draws, config.dropout_rate, out=draws)  # 1.0 or 0.0
-        draws /= 1.0 - config.dropout_rate
-        masks = iter(draws)
-    enc1_out, c1 = _encoder_forward(p, "enc1", seq1, config, masks, ws)
-    cache: dict = {"c1": c1}
-    cross_probs = None
-    enc2_out = None
-    if has_context:
-        enc2_out, c2 = _encoder_forward(p, "enc2", seq2, config, masks, ws)
-        cross_out, cx = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads, ws)
-        cross_probs = cx["probs"]
-        cache["c2"], cache["cx"] = c2, cx
-        if dropout_on:
-            cache["dm_cross"] = next(masks)[:n1]
-            cross_out *= cache["dm_cross"]
+        masks = ws.rows("draws", 2 * per_encoder + 1 if n2 else per_encoder)
+        np.random.default_rng(rng_seed).random(out=masks)
+        np.greater_equal(masks, config.dropout_rate, out=masks)  # 1.0 or 0.0
+        masks /= 1.0 - config.dropout_rate
+    fused = enc1_out = _encoder_forward(p, "enc1", seq1, config, masks, ws)
+    enc2_out = cross_probs = None
+    if n2:
+        enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
+        enc2_out = _encoder_forward(p, "enc2", seq2, config, enc2_masks, ws)
+        cross_out = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads, ws)
+        cross_probs = ws.heads("cross.probs", config.num_cross_heads, n1, n2)
+        if masks is not None:
+            cross_out *= masks[-1][:n1]
         fused = np.add(enc1_out, cross_out, out=cross_out)
-    else:
-        fused = enc1_out
     pooled = np.add.reduce(fused, axis=0, out=ws.pooled)
     pooled /= n1
     outputs = ws.outputs
     for i, head in enumerate(HEAD_NAMES):
         outputs[i] = pooled @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
-    cache["pooled"] = pooled
+    h, layers = config.num_heads, range(config.num_layers)
     trace = ForwardTrace(
         enc1_states=enc1_out,
         enc2_states=enc2_out,
-        enc1_self_attn=c1["attn_probs"],
-        enc2_self_attn=cache.get("c2", {}).get("attn_probs", []),
+        enc1_self_attn=[ws.heads(f"enc1.layer{i}.attn.probs", h, n1, n1) for i in layers],
+        enc2_self_attn=[ws.heads(f"enc2.layer{i}.attn.probs", h, n2, n2) for i in layers if n2],
         cross_attn=cross_probs,
         pooled=pooled,
         outputs=outputs,
     )
-    return trace, cache
+    return trace, masks
 
 
 def forward(
@@ -492,14 +481,14 @@ def backward(
     if target.shape != (3,):
         raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
     ws = Workspace(config) if workspace is None else workspace
-    trace, cache = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
+    trace, masks = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
     if grads is None:
         grads = params.zeros_like()
     diff = trace.outputs - target
     loss = float(np.mean(diff ** 2))
     douts = 2.0 * diff / 3.0
 
-    pooled = cache["pooled"]
+    pooled = trace.pooled
     n1, d = seq1.shape[0], pooled.shape[0]
     dpooled = ws.dpooled
     dpooled.fill(0.0)
@@ -511,10 +500,12 @@ def backward(
 
     denc1 = ws.rows("denc1", n1)
     denc1[...] = np.divide(dpooled, n1, out=vec)  # each row pools at 1/n
-    if "cx" in cache:
-        dcross = _dropped(denc1, cache.get("dm_cross"), ws)
-        dxq, dxkv = _attention_backward(params, "cross", cache["cx"], dcross, grads, ws)
+    if trace.enc2_states is not None:
+        dcross = _dropped(denc1, masks, -1, ws)
+        dxq, dxkv = _attention_backward(params, "cross", trace.enc1_states, trace.enc2_states,
+                                        config.num_cross_heads, dcross, grads, ws)
         denc1 += dxq
-        _encoder_backward(params, "enc2", config, cache["c2"], dxkv, grads, ws)
-    _encoder_backward(params, "enc1", config, cache["c1"], denc1, grads, ws)
+        enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
+        _encoder_backward(params, "enc2", seq2, config, enc2_masks, dxkv, grads, ws)
+    _encoder_backward(params, "enc1", seq1, config, masks, denc1, grads, ws)
     return loss, grads

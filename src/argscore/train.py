@@ -344,8 +344,10 @@ def grad_check(
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences on a
-    random small-model example (dropout off, float64 throughout). ``eps`` must
-    be positive and finite, and ``tolerance`` positive."""
+    random small-model example, float64 throughout. With a dropout rate above
+    zero every pass draws the same masks, from one seed; in single mode the
+    context is empty. ``eps`` must be positive and finite, and ``tolerance``
+    positive."""
     from argscore.model import init_parameters
 
     if not (math.isfinite(eps) and eps > 0):
@@ -360,14 +362,15 @@ def grad_check(
     n = config.max_seq_len
     # draw n ids for each sequence, then cut, so the target draw does not move
     seq1 = rng.integers(0, config.vocab_size, n)[: n - 2]
-    seq2 = rng.integers(0, config.vocab_size, n)[: n - 3]
+    seq2 = rng.integers(0, config.vocab_size, n)[: n - 3 if config.mode == "dual" else 0]
     target = rng.random(3)
 
-    workspace = Workspace(config)
-    _, analytic = backward(params, config, seq1, seq2, target, workspace=workspace)
+    run = dict(dropout_enabled=config.dropout_rate > 0.0, rng_seed=derive_seed(seed, 2),
+               workspace=Workspace(config))
+    _, analytic = backward(params, config, seq1, seq2, target, **run)
 
     def loss_now() -> float:
-        trace = forward(params, config, seq1, seq2, workspace=workspace)
+        trace = forward(params, config, seq1, seq2, **run)
         return float(np.mean((trace.outputs - target) ** 2))
 
     report: dict[str, float] = {}

@@ -252,6 +252,39 @@ def test_evaluate_without_gold_labels_exits_one(tmp_path, capsys):
     assert "no gold labels" in _error_line(capsys)
 
 
+def test_evaluate_without_augmentations_labels_the_row_none(tmp_path, tiny_dataset):
+    """With no augmentations file no context is read, whatever ``--augs``
+    (by default ``all``) asks for, and the row says so."""
+    records = tiny_dataset.records[:4]
+    argv = _evaluate_args(tmp_path, records, {r.id: "test" for r in records})
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / "out" / "report.csv").read_text(encoding="utf-8"))))
+    assert [(row["augs"], row["n"]) for row in rows] == [("none", "4")]
+
+
+def test_train_without_augs_has_no_active_kinds(tmp_path, tiny_dataset, monkeypatch):
+    """``--no-augs`` reads no context: its run config names no kind, and each
+    train and dev record is encoded once."""
+    calls = []
+    encode_input = train.encode_input
+
+    def counted(record, *args):
+        calls.append(record.id)
+        return encode_input(record, *args)
+
+    monkeypatch.setattr(train, "encode_input", counted)
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--dataset", str(data), "--no-augs", "--epochs", "1",
+                     "--out", str(out)]) == 0
+    settings = json.loads((out / "train_config.json").read_text(encoding="utf-8"))
+    assert settings["active_kinds"] == []
+    assert sorted(calls) == sorted(r.id for r in tiny_dataset.records
+                                   if tiny_dataset.split_assignment[r.id] != "test")
+
+
 def test_every_exception_class_is_one_main_reports():
     """``main`` reports OSError, ValueError, ProviderError and ProviderTimeout
     as one ``error:`` line. ``cmd_train`` handles NonFiniteLoss, and
