@@ -3,20 +3,32 @@ labels, per-metric report rows, and the ablation table. A split is encoded
 once; ``predict`` returns every encoding's head outputs and ``score``
 correlates them with the records' gold. ``evaluate`` does all three in one
 call; ``train`` encodes its dev split once and predicts and scores it after
-each epoch."""
+each epoch.
+
+``predict`` packs consecutive encodings into chunks, one ``network.forward``
+each, as many as fit its workspace's rows: by default ``CHUNK_SEQUENCES``
+max-length sequences of each encoder, so that per-call overhead is paid once
+per chunk. Each record's outputs stay bitwise those of a pass over it alone.
+``train`` passes its one-example workspace, so its dev scoring packs only
+records short enough to share ``max_seq_len`` rows."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER, MissingLabels
 from argscore.corpus import ArgumentRecord, Dataset
 from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, encoding, network
+
+
+# predict's default workspace holds this many max_seq_len of rows per encoder:
+# 128 and 512 rows scored no faster than 256 at max_seq_len 64
+CHUNK_SEQUENCES = 4
 
 
 class LengthMismatch(ValueError):
@@ -105,15 +117,37 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
     return "+".join(k.value for k in KIND_ORDER if k in active)
 
 
+def _chunks(encoded: Sequence[encoding.EncodedExample], capacity: int) -> Iterator[slice]:
+    """Consecutive runs of ``encoded``, each as long as its seq1s, and its
+    seq2s, fit ``capacity`` rows in all. An encoding with a one-row sequence
+    is a run of its own: numpy computes a one-row product by ``gemv``, which
+    rounds differently from the rows of a ``gemm``."""
+    start = rows1 = rows2 = 0
+    for i, enc in enumerate(encoded):
+        n1, n2 = len(enc.seq1), len(enc.seq2)
+        if i > start and (rows1 + n1 > capacity or rows2 + n2 > capacity
+                          or 1 in (n1, n2, rows1, rows2)):
+            yield slice(start, i)
+            start, rows1, rows2 = i, 0, 0
+        rows1, rows2 = rows1 + n1, rows2 + n2
+    if start < len(encoded):
+        yield slice(start, len(encoded))
+
+
 def predict(params: ModelParameters, config: ModelConfig,
             encoded: Sequence[encoding.EncodedExample],
             workspace: Optional[network.Workspace] = None) -> np.ndarray:
-    """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout;
-    every forward pass runs in ``workspace``, by default a new one."""
+    """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout:
+    one forward pass per chunk of consecutive encodings that fits
+    ``workspace``, by default a new one of ``CHUNK_SEQUENCES * max_seq_len``
+    rows. Each row is bitwise that of a forward pass of its encoding alone."""
     raw = np.empty((len(encoded), 3))
-    workspace = network.Workspace(config) if workspace is None else workspace
-    for i, enc in enumerate(encoded):
-        raw[i] = network.forward(params, config, enc.seq1, enc.seq2, workspace=workspace).outputs
+    if workspace is None:
+        workspace = network.Workspace(config, CHUNK_SEQUENCES * config.max_seq_len)
+    for run in _chunks(encoded, workspace.capacity):
+        chunk = encoded[run]
+        raw[run] = network.forward(params, config, [enc.seq1 for enc in chunk],
+                                   [enc.seq2 for enc in chunk], workspace=workspace).outputs
     return raw
 
 
@@ -122,7 +156,11 @@ def score(records: Sequence[ArgumentRecord], raw: np.ndarray, dataset: str, spli
     """The ``EvalRow`` of ``raw``, the predicted rows of ``records``. Heads are
     scored over the records with three scores, ``wa`` (the heads' mean) over
     those and the ``wa``-only records, in record order; ``n`` counts every
-    record. Raises ``MissingLabels`` when no record has gold."""
+    record. Raises ``LengthMismatch`` unless ``raw`` has one row of three per
+    record, and ``MissingLabels`` when no record has gold."""
+    if raw.shape != (len(records), 3):
+        raise LengthMismatch(f"{len(records)} records need predictions of shape "
+                             f"({len(records)}, 3), got {raw.shape}")
     three = [i for i, r in enumerate(records) if r.labels is not None]
     wa = [i for i, r in enumerate(records) if r.labels is not None or r.wa_label is not None]
     if not wa:

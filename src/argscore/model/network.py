@@ -23,19 +23,35 @@ attention mask at ``1 + 2l`` and FFN mask at ``2 + 2l``; encoder 1's block
 first, then encoder 2's (from ``1 + 2 * num_layers``), then cross-attention's
 last. A pass without context draws encoder 1's alone.
 
-A ``Workspace`` holds every array that one example's forward and backward
-passes write: the dropout draws, each layer's activations, attention scores
-and probabilities, the FFN and GELU temporaries, and the backward deltas.
-Each is sized at ``max_seq_len`` rows and used through contiguous views of
-its head. A slot named after a part of the model (``enc1.layer0.ln2.y``,
-``enc1.layer0.h1``, ``cross.probs``) is the one record of that part's forward
-pass: ``backward`` runs the forward pass into the workspace, then reads each
-part's inputs and activations back from those slots. ``forward`` and
-``backward`` make a fresh workspace unless they are given one; ``train``
-keeps one for its run and ``evaluation.predict`` one per split, so a run of
-examples allocates none of these arrays per example. What is still allocated
-per call is small: the kernels' row statistics and numpy's own iterator
-buffers.
+A forward pass runs one example or a chunk of them. A chunk's sequences are
+stacked: its seq1 ids back to back, example 0's rows first, and likewise its
+seq2 ids, where an example without context owns no rows. Every position-wise
+operation runs once over the stacked rows: the embedding gather and positions,
+each layer norm, the attention projections, the FFN and GELU. Self-attention,
+cross-attention (an example's first-encoder rows onto its own context rows),
+pooling and the heads loop over the examples, so no example sees another's
+rows, and each example's outputs are bitwise those of a pass over it alone.
+numpy computes a one-row product by ``gemv``, though, which rounds
+differently from the rows of a ``gemm``, so a one-row sequence keeps that
+only in a chunk of its own (``evaluation.predict`` packs it alone). Dropout
+and ``backward`` take one example: a chunk of one.
+
+A ``Workspace`` holds every array that the forward and backward passes
+write: the dropout draws, each layer's activations, attention scores and
+probabilities, the FFN and GELU temporaries, and the backward deltas. A slot
+that the forward pass writes row by row has the workspace's row capacity, at
+least ``max_seq_len``; the others are sized for one example. Each is used
+through contiguous views of its head. A slot named after a part of the model
+(``enc1.layer0.ln2.y``, ``enc1.layer0.h1``, ``cross.probs``) is the one
+record of that part's forward pass: ``backward`` runs the forward pass into
+the workspace, then reads each part's inputs and activations back from those
+slots. The attention probabilities are per example, and after a chunk hold
+its last example that ran that attention. ``forward`` and ``backward`` make
+a fresh workspace unless they are given one; ``train`` keeps one for its run
+and ``evaluation.predict`` one per split, so a run of examples allocates
+none of these arrays per example. What is still allocated per call is small:
+the kernels' row statistics, the chunk's ids and positions, and numpy's own
+iterator buffers.
 Results go there through ``out=`` into contiguous arrays of the shapes the
 plain expressions would allocate, which keeps their BLAS calls, their
 reduction order and every output byte. A ``ForwardTrace``'s arrays are views
@@ -49,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,7 +113,13 @@ class ForwardTrace:
     """Intermediate quantities exposed for inspection and tests. Each array is
     a view of a slot of the pass's workspace (``enc1.final_ln.y``,
     ``enc1.layer0.attn.probs``, ``cross.probs``, ...), not a copy: it aliases
-    the workspace and holds until that is used again."""
+    the workspace and holds until that is used again.
+
+    For a chunk, ``enc1_states`` and ``enc2_states`` are its stacked rows
+    (example ``i`` owns those after examples ``0`` to ``i - 1``), ``pooled``
+    and ``outputs`` have a row per example, and the attention probabilities
+    are those of the chunk's last example (for ``enc2_self_attn`` and
+    ``cross_attn``, its last example with context)."""
 
     enc1_states: np.ndarray
     enc2_states: Optional[np.ndarray]
@@ -162,22 +184,30 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
 
 
 class Workspace:
-    """Every array that one example's ``forward`` and ``backward`` write,
-    made once for ``config`` and reused by every example (see the module
-    docstring).
+    """Every array that ``forward`` and ``backward`` write, made once for
+    ``config`` and reused by every pass (see the module docstring).
 
-    Each array is a named slot. A row slot has ``max_seq_len`` rows, and
-    ``rows(name, n)`` is its first ``n``. A head slot is flat, and
-    ``heads(name, h, n, k)`` is its first ``h * n * k`` elements as a
-    contiguous (h, n, k) array. A slot named after a layer norm, FFN or
-    attention (``enc1.layer0.ln1.y``, ``cross.probs``) is the one record of
-    that part's forward pass, and ``backward`` reads it from there; the
-    others hold temporaries that each part reuses in turn. ``draws`` holds
-    the pass's dropout masks, read by index in the order the module
+    Each array is a named slot. A row slot that the forward pass writes has
+    ``rows`` rows (``max_seq_len`` by default, and never fewer), its
+    ``capacity``; one that only ``backward`` writes has ``max_seq_len``. In a
+    chunk, example ``i`` owns the rows of an encoder's slots that follow
+    those of examples ``0`` to ``i - 1``, and row ``i`` of ``pooled`` and
+    ``outputs``. ``rows(name, n)`` is a slot's first ``n`` rows. A head slot
+    is flat and sized for one example: ``heads(name, h, n, k)`` is its first
+    ``h * n * k`` elements as a contiguous (h, n, k) array. A slot named
+    after a layer norm, FFN or attention (``enc1.layer0.ln1.y``,
+    ``cross.probs``) is the one record of that part's forward pass, and
+    ``backward`` reads it from there; after a chunk, the attention
+    probabilities hold only its last example that ran that attention. The
+    other slots hold temporaries that each part reuses in turn. ``draws``
+    holds the pass's dropout masks, read by index in the order the module
     docstring states."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, rows: Optional[int] = None):
         L, d, f = config.max_seq_len, config.model_dim, config.ffn_dim
+        R = L if rows is None else rows
+        if R < L:
+            raise ValueError(f"a workspace needs at least max_seq_len ({L}) rows, got {R}")
         dual = config.mode == "dual"
         encoders = ("enc1", "enc2") if dual else ("enc1",)
         layers = [f"{enc}.layer{layer}" for enc in encoders for layer in range(config.num_layers)]
@@ -185,30 +215,35 @@ class Workspace:
         norms = [f"{base}.{ln}" for base in layers for ln in ("ln1", "ln2")]
         norms += [f"{enc}.final_ln" for enc in encoders]
         square = max(config.num_heads, config.num_cross_heads) * L * L
-        shapes = {f"{ln}.{name}": (L, d) for ln in norms for name in ("y", "xhat")}
-        shapes.update({f"{ln}.rstd": (L,) for ln in norms})
-        shapes.update({f"{base}.{name}": (L, f) for base in layers for name in ("h1", "a")})
-        shapes.update({f"{attn}.{name}": (L, d) for attn in attentions
+        shapes = {f"{ln}.{name}": (R, d) for ln in norms for name in ("y", "xhat")}
+        shapes.update({f"{ln}.rstd": (R,) for ln in norms})
+        shapes.update({f"{base}.{name}": (R, f) for base in layers for name in ("h1", "a")})
+        shapes.update({f"{attn}.{name}": (R, d) for attn in attentions
                        for name in ("q", "k", "v", "ctx")})
         shapes.update({f"{attn}.probs": (square,) for attn in attentions})
         # the dropout masks: a (max_seq_len, model_dim) block per use in one pass
         shapes["draws"] = ((1 + 2 * config.num_layers) * len(encoders) + dual, L, d)
-        shapes.update(dict.fromkeys(("x", "proj", "denc1", "dx", "dmasked", "dy", "dln", "dctx",
+        shapes.update(x=(R, d), proj=(R, d), pooled=(R, d), outputs=(R, 3))
+        shapes.update(dict.fromkeys(("denc1", "dx", "dmasked", "dy", "dln", "dctx",
                                      "dq", "dk", "dv", "dxq", "dxkv", "dxkv_v"), (L, d)))
         shapes.update(da=(L, f), dh1=(L, f))
         shapes.update(dict.fromkeys(("scores", "dprobs", "dscores"), (square,)))
         shapes.update(dict.fromkeys(("heads", "dvh", "dqh", "dkh"), (L * d,)))
-        shapes.update(dict.fromkeys(("pooled", "dpooled", "dgamma", "dbeta"), (d,)))
-        shapes["outputs"] = (3,)
-        shapes["scratch"] = (3 * L * max(d, f),)  # the kernels' temporaries
+        shapes.update(dict.fromkeys(("dpooled", "dgamma", "dbeta"), (d,)))
+        # the kernels' temporaries: gelu's one over a chunk, gelu_grad's three over an example
+        shapes["scratch"] = (max(R, 3 * L) * max(d, f),)
         shapes["column"] = (max(d, f),)  # a bias's gradient
         shapes["product"] = (d * max(d, f),)  # a weight's gradient
         self.slots = slots = {name: np.empty(shape) for name, shape in shapes.items()}
         self.scratch, self.column = slots["scratch"], slots["column"]
-        self.outputs, self.pooled = slots["outputs"], slots["pooled"]
         self.dpooled, self.dgamma, self.dbeta = slots["dpooled"], slots["dgamma"], slots["dbeta"]
         self.product = {shape: slots["product"][: shape[0] * shape[1]].reshape(shape)
                         for shape in ((d, d), (d, f), (f, d))}
+
+    @property
+    def capacity(self) -> int:
+        """The rows a chunk's seq1s, and its seq2s, may each take in all."""
+        return self.slots["x"].shape[0]
 
     def rows(self, name: str, n: int) -> np.ndarray:
         return self.slots[name][:n]
@@ -265,26 +300,36 @@ def _layer_norm_backward(p, ln, dy, ws, slot, grads):
     return dx
 
 
-def _split_qkv(prefix, nq, nk, num_heads, ws):
-    """The queries, keys and values in the ``prefix`` slots, split into heads."""
-    return (_split_heads(ws.rows(f"{prefix}.q", nq), num_heads),
-            _split_heads(ws.rows(f"{prefix}.k", nk), num_heads),
-            _split_heads(ws.rows(f"{prefix}.v", nk), num_heads))
+def _split_qkv(prefix, qrows, krows, num_heads, ws):
+    """The queries of the ``qrows`` and the keys and values of the ``krows``
+    (slices) in the ``prefix`` slots, split into heads."""
+    return (_split_heads(ws.slots[f"{prefix}.q"][qrows], num_heads),
+            _split_heads(ws.slots[f"{prefix}.k"][krows], num_heads),
+            _split_heads(ws.slots[f"{prefix}.v"][krows], num_heads))
 
 
-def _attention(p, prefix, xq, xkv, num_heads, ws):
+def _attention(p, prefix, xq, xkv, pairs, num_heads, ws):
     """Multi-head attention of ``xq`` onto ``xkv``; the output goes to
-    ``proj``, and what ``backward`` reads to the ``prefix`` slots."""
-    (nq, d), nk = xq.shape, xkv.shape[0]
+    ``proj``, and what ``backward`` reads to the ``prefix`` slots. The
+    projections run over all rows at once. Each (query rows, key rows) slice
+    pair of ``pairs`` is an example, whose queries attend to its own keys
+    only; an example without keys gets a zero context."""
+    (nq, d), dh = xq.shape, xq.shape[1] // num_heads
     for name, x in (("q", xq), ("k", xkv), ("v", xkv)):
         projected = np.matmul(x, p[f"{prefix}.w{name}"], out=ws.rows(f"{prefix}.{name}", len(x)))
         projected += p[f"{prefix}.b{name}"]
-    qh, kh, vh = _split_qkv(prefix, nq, nk, num_heads, ws)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, nq, nk))
-    scores *= 1.0 / math.sqrt(d // num_heads)
-    probs = kernels.masked_softmax(scores, out=ws.heads(f"{prefix}.probs", num_heads, nq, nk))
-    heads = np.matmul(probs, vh, out=ws.heads("heads", num_heads, nq, d // num_heads))
-    ctx = _merge_heads(heads, ws.rows(f"{prefix}.ctx", nq))
+    ctx = ws.rows(f"{prefix}.ctx", nq)
+    for qrows, krows in pairs:
+        if krows.start == krows.stop:
+            ctx[qrows] = 0.0
+            continue
+        qh, kh, vh = _split_qkv(prefix, qrows, krows, num_heads, ws)
+        n, k = qh.shape[1], kh.shape[1]
+        scores = np.matmul(qh, kh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, n, k))
+        scores *= 1.0 / math.sqrt(dh)
+        probs = kernels.masked_softmax(scores, out=ws.heads(f"{prefix}.probs", num_heads, n, k))
+        heads = np.matmul(probs, vh, out=ws.heads("heads", num_heads, n, dh))
+        _merge_heads(heads, ctx[qrows])
     out = np.matmul(ctx, p[f"{prefix}.wo"], out=ws.rows("proj", nq))
     out += p[f"{prefix}.bo"]
     return out
@@ -292,10 +337,11 @@ def _attention(p, prefix, xq, xkv, num_heads, ws):
 
 def _attention_backward(p, prefix, xq, xkv, num_heads, dout, grads, ws):
     """Returns (dxq, dxkv), in the ``dxq`` and ``dxkv`` slots, and accumulates
-    parameter gradients; reads the forward pass from the ``prefix`` slots."""
+    parameter gradients; reads the forward pass of one example from the
+    ``prefix`` slots."""
     (nq, d), nk = xq.shape, xkv.shape[0]
     dh = d // num_heads
-    qh, kh, vh = _split_qkv(prefix, nq, nk, num_heads, ws)
+    qh, kh, vh = _split_qkv(prefix, slice(nq), slice(nk), num_heads, ws)
     probs = ws.heads(f"{prefix}.probs", num_heads, nq, nk)
     scale = 1.0 / math.sqrt(dh)
 
@@ -322,10 +368,12 @@ def _attention_backward(p, prefix, xq, xkv, num_heads, dout, grads, ws):
     return dxq, dxkv
 
 
-def _encoder_forward(p, enc, ids, config, masks, ws):
-    """The encoder's output, in its ``final_ln.y`` slot. ``masks`` holds its
-    inverted-dropout masks by index: the embedding's at 0, layer ``l``'s
-    attention at ``1 + 2l`` and FFN at ``2 + 2l``; None turns dropout off."""
+def _encoder_forward(p, enc, ids, rows, config, masks, ws):
+    """The encoder's output, in its ``final_ln.y`` slot. ``ids`` are the
+    chunk's sequences back to back, and ``rows`` the slice of them that each
+    example owns. ``masks`` holds its inverted-dropout masks by index: the
+    embedding's at 0, layer ``l``'s attention at ``1 + 2l`` and FFN at
+    ``2 + 2l``; None turns dropout off."""
     n = ids.shape[0]
     table = p[f"{enc}.tok_emb"]
     size = table.shape[0]
@@ -333,13 +381,16 @@ def _encoder_forward(p, enc, ids, config, masks, ws):
     if not -size <= np.minimum.reduce(ids) <= np.maximum.reduce(ids) < size:
         raise IndexError(f"{enc}: a token id is out of range for {size} embedding rows")
     x = table.take(ids, axis=0, out=ws.rows("x", n), mode="wrap")
-    x += p[f"{enc}.pos_emb"][:n]
+    positions = p[f"{enc}.pos_emb"]
+    for r in rows:  # one add per example costs less than a chunk's index of positions
+        x[r] += positions[: r.stop - r.start]
     if masks is not None:
         x *= masks[0][:n]
+    pairs = [(r, r) for r in rows if r.stop > r.start]
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
         y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws)
-        attn_out = _attention(p, f"{base}.attn", y1, y1, config.num_heads, ws)
+        attn_out = _attention(p, f"{base}.attn", y1, y1, pairs, config.num_heads, ws)
         if masks is not None:
             attn_out *= masks[1 + 2 * layer][:n]
         x += attn_out
@@ -387,24 +438,44 @@ def _encoder_backward(p, enc, ids, config, masks, dout, grads, ws):
     grads[f"{enc}.pos_emb"][:n] += dx
 
 
-def _check_inputs(config, seq1, seq2):
-    for name, seq in (("seq1", seq1), ("seq2", seq2)):
-        if seq.ndim != 1:
-            raise ShapeMismatch(f"{name}: ids must be 1-d")
-        if seq.shape[0] > config.max_seq_len:
-            raise ShapeMismatch(
-                f"{name}: length {seq.shape[0]} exceeds max_seq_len {config.max_seq_len}"
-            )
-    if seq1.shape[0] == 0:
-        raise ShapeMismatch("seq1 must not be empty")
-    if config.mode == "single" and seq2.shape[0] > 0:
-        raise ShapeMismatch("seq2 must be empty in single mode")
+def _check_inputs(config, seqs1, seqs2, dropout_on, capacity):
+    """Each example's slice of the chunk's seq1 rows and of its seq2 rows,
+    once every example has passed the checks; an error names the example."""
+    if not seqs1 or len(seqs1) != len(seqs2):
+        raise ShapeMismatch(f"a chunk needs as many seq2s as seq1s, and at least one: "
+                            f"got {len(seqs1)} and {len(seqs2)}")
+    if dropout_on and len(seqs1) > 1:
+        raise ValueError(f"dropout runs one example at a time, not a chunk of {len(seqs1)}")
+    rows1, rows2 = [], []
+    end1 = end2 = 0
+    for i, (seq1, seq2) in enumerate(zip(seqs1, seqs2)):
+        for name, seq in (("seq1", seq1), ("seq2", seq2)):
+            if seq.ndim != 1:
+                raise ShapeMismatch(f"example {i}: {name}: ids must be 1-d")
+            if seq.shape[0] > config.max_seq_len:
+                raise ShapeMismatch(f"example {i}: {name}: length {seq.shape[0]} exceeds "
+                                    f"max_seq_len {config.max_seq_len}")
+        if seq1.shape[0] == 0:
+            raise ShapeMismatch(f"example {i}: seq1 must not be empty")
+        if config.mode == "single" and seq2.shape[0] > 0:
+            raise ShapeMismatch(f"example {i}: seq2 must be empty in single mode")
+        rows1.append(slice(end1, end1 + seq1.shape[0]))
+        rows2.append(slice(end2, end2 + seq2.shape[0]))
+        end1, end2 = rows1[-1].stop, rows2[-1].stop
+    if max(end1, end2) > capacity:
+        raise ShapeMismatch(f"the chunk's {end1} seq1 rows and {end2} seq2 rows do not both "
+                            f"fit the workspace's {capacity}")
+    return rows1, rows2
 
 
 def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
-    """The pass's trace, and its dropout masks (the ``draws`` rows) or None."""
-    _check_inputs(config, seq1, seq2)
-    (n1,), (n2,) = seq1.shape, seq2.shape
+    """The pass's trace, and its dropout masks (the ``draws`` rows) or None.
+    ``seq1`` and ``seq2`` are one example's arrays, or a chunk's lists."""
+    one = isinstance(seq1, np.ndarray)
+    seqs1, seqs2 = ([seq1], [seq2]) if one else (list(seq1), list(seq2))
+    rows1, rows2 = _check_inputs(config, seqs1, seqs2, dropout_on, ws.capacity)
+    ids1, ids2 = (seq1, seq2) if one else (np.concatenate(seqs1), np.concatenate(seqs2))
+    n1, n2 = ids1.shape[0], ids2.shape[0]
     masks = None
     if dropout_on:
         # every mask of the run from one call: the same numbers, in the same
@@ -414,30 +485,36 @@ def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
         np.random.default_rng(rng_seed).random(out=masks)
         np.greater_equal(masks, config.dropout_rate, out=masks)  # 1.0 or 0.0
         masks /= 1.0 - config.dropout_rate
-    fused = enc1_out = _encoder_forward(p, "enc1", seq1, config, masks, ws)
-    enc2_out = cross_probs = None
+    fused = enc1_out = _encoder_forward(p, "enc1", ids1, rows1, config, masks, ws)
+    enc2_out = None
     if n2:
         enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
-        enc2_out = _encoder_forward(p, "enc2", seq2, config, enc2_masks, ws)
-        cross_out = _attention(p, "cross", enc1_out, enc2_out, config.num_cross_heads, ws)
-        cross_probs = ws.heads("cross.probs", config.num_cross_heads, n1, n2)
+        enc2_out = _encoder_forward(p, "enc2", ids2, rows2, config, enc2_masks, ws)
+        cross_out = _attention(p, "cross", enc1_out, enc2_out, list(zip(rows1, rows2)),
+                               config.num_cross_heads, ws)
         if masks is not None:
             cross_out *= masks[-1][:n1]
         fused = np.add(enc1_out, cross_out, out=cross_out)
-    pooled = np.add.reduce(fused, axis=0, out=ws.pooled)
-    pooled /= n1
-    outputs = ws.outputs
-    for i, head in enumerate(HEAD_NAMES):
-        outputs[i] = pooled @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
+    pooled, outputs = ws.rows("pooled", len(rows1)), ws.rows("outputs", len(rows1))
+    for i, (r1, r2) in enumerate(zip(rows1, rows2)):
+        # an example without context pools its first encoder's states alone
+        row = np.add.reduce((fused if r2.stop > r2.start else enc1_out)[r1], axis=0,
+                            out=pooled[i])
+        row /= r1.stop - r1.start
+        for m, head in enumerate(HEAD_NAMES):
+            outputs[i, m] = row @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
+    # the attention slots hold the last example that ran each attention
     h, layers = config.num_heads, range(config.num_layers)
+    last = len(seqs1[-1])
+    c1, c2 = [(len(s1), len(s2)) for s1, s2 in zip(seqs1, seqs2) if len(s2)][-1] if n2 else (0, 0)
     trace = ForwardTrace(
         enc1_states=enc1_out,
         enc2_states=enc2_out,
-        enc1_self_attn=[ws.heads(f"enc1.layer{i}.attn.probs", h, n1, n1) for i in layers],
-        enc2_self_attn=[ws.heads(f"enc2.layer{i}.attn.probs", h, n2, n2) for i in layers if n2],
-        cross_attn=cross_probs,
-        pooled=pooled,
-        outputs=outputs,
+        enc1_self_attn=[ws.heads(f"enc1.layer{i}.attn.probs", h, last, last) for i in layers],
+        enc2_self_attn=[ws.heads(f"enc2.layer{i}.attn.probs", h, c2, c2) for i in layers if n2],
+        cross_attn=ws.heads("cross.probs", config.num_cross_heads, c1, c2) if n2 else None,
+        pooled=pooled[0] if one else pooled,
+        outputs=outputs[0] if one else outputs,
     )
     return trace, masks
 
@@ -445,14 +522,19 @@ def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
 def forward(
     params: ModelParameters,
     config: ModelConfig,
-    seq1: np.ndarray,
-    seq2: np.ndarray,
+    seq1: Union[np.ndarray, Sequence[np.ndarray]],
+    seq2: Union[np.ndarray, Sequence[np.ndarray]],
     dropout_enabled: bool = False,
     rng_seed: int = 0,
     workspace: Optional[Workspace] = None,
 ) -> ForwardTrace:
-    """The trace's arrays live in ``workspace`` (a fresh one by default), so
-    with a shared workspace they hold until its next use."""
+    """The pass over one example (``seq1`` and ``seq2`` arrays of ids), or
+    over a chunk of them (lists of such arrays, one pair per example) whose
+    seq1s, and whose seq2s, fit the workspace's ``capacity`` rows in all. A
+    chunk's ``outputs`` is (examples, 3) and its ``pooled`` (examples, d),
+    and it runs without dropout. The trace's arrays live in ``workspace``
+    (a fresh one of ``max_seq_len`` rows by default), so with a shared
+    workspace they hold until its next use."""
     ws = Workspace(config) if workspace is None else workspace
     trace, _ = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
     return trace

@@ -5,11 +5,13 @@ correlates them with gold, ``evaluate`` does both in one call, and
 import numpy as np
 import pytest
 
+from argscore import evaluation
 from argscore.augment import KIND_ORDER, AugmentationSet, MissingLabels
 from argscore.corpus import ArgumentRecord, Dataset, QualityScores
 from argscore.evaluation import (
     EmptySplit,
     EvalRow,
+    LengthMismatch,
     ablation_table,
     evaluate,
     pearson,
@@ -17,7 +19,7 @@ from argscore.evaluation import (
     score,
     spearman,
 )
-from argscore.model import build_vocab, encode_input, forward, init_parameters
+from argscore.model import EncodedExample, build_vocab, encode_input, forward, init_parameters
 
 from tests.conftest import small_config
 
@@ -50,6 +52,56 @@ def test_evaluate_is_score_of_predict_and_predict_is_forward(tiny_dataset):
     expected = score(records, raw, "tiny", "train", config.mode, KIND_ORDER)
     assert evaluate(params, config, vocab, tiny_dataset, augs, "train", KIND_ORDER) == expected
     assert expected.augs == "all" and expected.n == len(records)
+
+
+# (seq1, seq2) lengths at max_seq_len 12, so predict's chunks hold 48 rows of
+# each: one chunk of five with both sequences at max_seq_len and records
+# without context between records with it, a chunk cut by a one-row seq1,
+# two one-row sequences alone, and a last chunk
+LENGTHS = [(12, 12), (5, 0), (7, 9), (3, 0), (12, 12), (12, 12), (9, 11), (1, 4), (4, 1),
+           (6, 6), (2, 0), (12, 0)]
+
+
+@pytest.mark.parametrize("mode, context, chunks", [
+    ("dual", True, [5, 2, 1, 1, 3]),
+    ("dual", False, [5, 2, 1, 4]),  # no kinds: every seq2 empty
+    ("single", False, [5, 2, 1, 4]),
+])
+def test_predict_packs_chunks_and_each_row_is_its_forward_pass_alone(monkeypatch, mode,
+                                                                    context, chunks):
+    config = small_config(mode=mode, num_layers=2)
+    params = init_parameters(config, 3)
+    rng = np.random.default_rng(5)
+    params.flat[...] = rng.normal(0.0, 0.3, params.flat.shape)  # biases too
+    encoded = [EncodedExample(rng.integers(0, config.vocab_size, n1),
+                              rng.integers(0, config.vocab_size, n2 if context else 0))
+               for n1, n2 in LENGTHS]
+    sizes = []
+
+    def counted(params, config, seq1, seq2, **kwargs):
+        sizes.append(len(seq1))
+        return forward(params, config, seq1, seq2, **kwargs)
+
+    monkeypatch.setattr(evaluation.network, "forward", counted)
+    raw = predict(params, config, encoded)
+    assert sizes == chunks
+    for i, enc in enumerate(encoded):
+        assert raw[i].tobytes() == forward(params, config, enc.seq1, enc.seq2).outputs.tobytes(), i
+
+    sizes.clear()
+    assert predict(params, config, encoded[:1]).tobytes() == raw[:1].tobytes()
+    empty = predict(params, config, [])
+    assert empty.shape == (0, 3) and sizes == [1]
+
+
+@pytest.mark.parametrize("rows", [2, 4])  # a row short, a row over
+def test_score_raises_unless_raw_has_a_row_per_record(rows):
+    records = [_record(0, scores=(1.0, 2.0, 3.0)), _record(1, scores=(3.0, 2.0, 1.0)),
+               _record(2, scores=(2.0, 2.0, 2.0))]
+    raw = np.arange(12.0).reshape(4, 3)
+    score(records, raw[:3], "d", "test", "dual")
+    with pytest.raises(LengthMismatch, match=rf"3 records need .*got \({rows}, 3\)"):
+        score(records, raw[:rows], "d", "test", "dual")
 
 
 def test_score_uses_each_label_kind_where_it_applies():

@@ -1,12 +1,14 @@
-"""A reused ``Workspace`` gives the bytes of a fresh one, and a warm pass
-allocates almost nothing."""
+"""A reused ``Workspace`` gives the bytes of a fresh one, also after a packed
+chunk, a chunk's examples are checked one by one, and a warm pass allocates
+almost nothing."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from argscore.model import ModelConfig, Workspace, backward, forward, init_parameters
+from argscore.model import (ModelConfig, ShapeMismatch, Workspace, backward, forward,
+                            init_parameters)
 from tests.conftest import small_config
 
 
@@ -58,6 +60,55 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(mode, dropout):
         assert np.isfinite(grads.flat).all(), i
         assert reused_loss == loss, i
         assert reused_grads.flat.tobytes() == grads.flat.tobytes(), i
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_backward_after_a_packed_chunk_gives_the_bytes_of_a_fresh_workspace(dropout):
+    """The chunk leaves every slot, its rows past ``max_seq_len`` and its
+    attention probabilities, written by other examples."""
+    config = small_config(num_layers=2, dropout_rate=dropout)
+    params = init_parameters(config, seed=3)
+    rng = np.random.default_rng(6)
+    L = config.max_seq_len
+    seqs1 = [rng.integers(0, config.vocab_size, n) for n in (L, 5, L, L - 2)]
+    seqs2 = [rng.integers(0, config.vocab_size, n) for n in (L, 0, 7, L)]
+    workspace = Workspace(config, 4 * L)
+    forward(params, config, seqs1, seqs2, workspace=workspace)
+    seq1, seq2 = rng.integers(0, config.vocab_size, (2, L - 3))
+    target = rng.random(3)
+    run = dict(dropout_enabled=dropout > 0.0, rng_seed=2)
+    loss, grads = backward(params, config, seq1, seq2, target, **run, workspace=_poisoned(config))
+    reused_loss, reused_grads = backward(params, config, seq1, seq2, target, **run,
+                                         workspace=workspace)
+    assert np.isfinite(grads.flat).all()
+    assert reused_loss == loss
+    assert reused_grads.flat.tobytes() == grads.flat.tobytes()
+
+
+def test_a_chunk_is_checked_example_by_example():
+    config = small_config(dropout_rate=0.1)
+    params = init_parameters(config, seed=0)
+    workspace = Workspace(config, 4 * config.max_seq_len)
+    ok = np.arange(5)
+    with pytest.raises(ValueError, match="dropout runs one example at a time"):
+        forward(params, config, [ok, ok], [ok, ok], dropout_enabled=True, workspace=workspace)
+    too_long = np.arange(config.max_seq_len + 1)
+    for seqs1, seqs2, message in [
+        ([ok, ok[:0], ok], [ok, ok, ok], "example 1: seq1 must not be empty"),
+        ([ok, ok, ok], [ok, ok, too_long], "example 2: seq2: length 13 exceeds max_seq_len 12"),
+        ([ok, ok.reshape(1, -1)], [ok, ok], "example 1: seq1: ids must be 1-d"),
+        ([ok, ok], [ok], "as many seq2s as seq1s"),
+        ([], [], "at least one"),
+        ([np.arange(12)] * 5, [ok] * 5, "60 seq1 rows and 25 seq2 rows do not both fit"),
+    ]:
+        with pytest.raises(ShapeMismatch, match=message):
+            forward(params, config, seqs1, seqs2, workspace=workspace)
+    single = small_config(mode="single")
+    with pytest.raises(ShapeMismatch, match="example 1: seq2 must be empty in single mode"):
+        forward(init_parameters(single, seed=0), single, [ok, ok], [ok[:0], ok],
+                workspace=Workspace(single, 4 * single.max_seq_len))
+    with pytest.raises(ValueError, match="at least max_seq_len"):
+        Workspace(config, config.max_seq_len - 1)
 
 
 def test_a_warm_backward_barely_allocates():
