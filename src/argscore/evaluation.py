@@ -5,30 +5,25 @@ correlates them with the records' gold. ``evaluate`` does all three in one
 call; ``train`` encodes its dev split once and predicts and scores it after
 each epoch.
 
-``predict`` packs consecutive encodings into chunks, one ``network.forward``
-each, as many as fit its workspace's rows: by default ``CHUNK_SEQUENCES``
-max-length sequences of each encoder, so that per-call overhead is paid once
-per chunk. Each record's outputs stay bitwise those of a pass over it alone.
-``train`` passes its one-example workspace, so its dev scoring packs only
-records short enough to share ``max_seq_len`` rows."""
+``predict`` packs consecutive encodings into chunks (``network.chunks``), one
+``network.forward`` each, as many as fit its workspace's rows: by default
+``network.CHUNK_SEQUENCES`` max-length sequences of each encoder, so that
+per-call overhead is paid once per chunk. Each record's outputs stay bitwise
+those of a pass over it alone. ``train`` passes the workspace that its
+training chunks use, of that default size."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER, MissingLabels
 from argscore.corpus import ArgumentRecord, Dataset
 from argscore.model import HEAD_NAMES, ModelConfig, ModelParameters, Vocabulary, encoding, network
-
-
-# predict's default workspace holds this many max_seq_len of rows per encoder:
-# 128 and 512 rows scored no faster than 256 at max_seq_len 64
-CHUNK_SEQUENCES = 4
 
 
 class LengthMismatch(ValueError):
@@ -117,34 +112,18 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
     return "+".join(k.value for k in KIND_ORDER if k in active)
 
 
-def _chunks(encoded: Sequence[encoding.EncodedExample], capacity: int) -> Iterator[slice]:
-    """Consecutive runs of ``encoded``, each as long as its seq1s, and its
-    seq2s, fit ``capacity`` rows in all. An encoding with a one-row sequence
-    is a run of its own: numpy computes a one-row product by ``gemv``, which
-    rounds differently from the rows of a ``gemm``."""
-    start = rows1 = rows2 = 0
-    for i, enc in enumerate(encoded):
-        n1, n2 = len(enc.seq1), len(enc.seq2)
-        if i > start and (rows1 + n1 > capacity or rows2 + n2 > capacity
-                          or 1 in (n1, n2, rows1, rows2)):
-            yield slice(start, i)
-            start, rows1, rows2 = i, 0, 0
-        rows1, rows2 = rows1 + n1, rows2 + n2
-    if start < len(encoded):
-        yield slice(start, len(encoded))
-
-
 def predict(params: ModelParameters, config: ModelConfig,
             encoded: Sequence[encoding.EncodedExample],
             workspace: Optional[network.Workspace] = None) -> np.ndarray:
     """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout:
     one forward pass per chunk of consecutive encodings that fits
-    ``workspace``, by default a new one of ``CHUNK_SEQUENCES * max_seq_len``
-    rows. Each row is bitwise that of a forward pass of its encoding alone."""
+    ``workspace``, by default a new one of ``network.CHUNK_SEQUENCES *
+    max_seq_len`` rows. Each row is bitwise that of a forward pass of its
+    encoding alone."""
     raw = np.empty((len(encoded), 3))
     if workspace is None:
-        workspace = network.Workspace(config, CHUNK_SEQUENCES * config.max_seq_len)
-    for run in _chunks(encoded, workspace.capacity):
+        workspace = network.Workspace(config, network.CHUNK_SEQUENCES * config.max_seq_len)
+    for run in network.chunks(encoded, workspace.capacity):
         chunk = encoded[run]
         raw[run] = network.forward(params, config, [enc.seq1 for enc in chunk],
                                    [enc.seq2 for enc in chunk], workspace=workspace).outputs

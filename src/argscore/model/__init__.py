@@ -4,12 +4,14 @@ from argscore.model.checkpoint import CheckpointError, load_checkpoint, save_che
 from argscore.model.config import ModelConfig
 from argscore.model.encoding import EncodedExample, encode_input
 from argscore.model.network import (
+    CHUNK_SEQUENCES,
     HEAD_NAMES,
     ForwardTrace,
     ModelParameters,
     ShapeMismatch,
     Workspace,
     backward,
+    chunks,
     forward,
     init_parameters,
     parameter_shapes,
@@ -27,6 +29,7 @@ from argscore.model.vocab import (
 )
 
 __all__ = [
+    "CHUNK_SEQUENCES",
     "CLS_ID",
     "CheckpointError",
     "EncodedExample",
@@ -44,6 +47,7 @@ __all__ = [
     "Workspace",
     "backward",
     "build_vocab",
+    "chunks",
     "encode_input",
     "forward",
     "init_parameters",

@@ -2,9 +2,9 @@
 
 Two rules hold for every kernel, and ``tests/test_kernels.py`` checks both:
 a kernel writes only into ``out`` and ``scratch`` (``adam_update`` also
-updates ``p``, ``m`` and ``v``, which is its job), and its results equal
-bitwise those of its plain expression, one temporary per operation. The
-kernels evaluate the same operations in the same order, but into their
+updates ``p``, ``m`` and ``v``, which is its job, and ``gelu`` writes its
+``tanh``), and its results equal bitwise those of its plain expression, one
+temporary per operation. The kernels evaluate the same operations in the same order, but into their
 outputs and a few temporaries through ``out=`` and in-place operators. Row
 means are ``np.add.reduce(x, axis=-1, keepdims=True) / d`` and column sums
 ``np.add.reduce(x, axis=0)``: the same reductions as ``.mean`` and ``.sum``,
@@ -12,12 +12,13 @@ without their Python wrappers.
 
 ``out`` and ``scratch`` are keyword-only and optional. ``out`` takes the
 result, or each array of a tuple result, and must have its shape and be
-C-contiguous. ``scratch`` is a 1-d array that holds the kernel's
-temporaries the size of its first operand (one for ``gelu`` and
-``layer_norm_grad``, three for ``gelu_grad``). Either is allocated when it
-is not given, so the network's workspace can pass both and every other
-caller neither. Only row statistics, of shape ``(..., 1)``, are still
-allocated on each call.
+C-contiguous. ``scratch`` is a 1-d array that holds the kernel's one
+temporary the size of its first operand (``gelu``, ``gelu_grad`` and
+``layer_norm_grad``). Either is allocated when it is not given, so the
+network's workspace can pass both and every other caller neither. Only row
+statistics, of shape ``(..., 1)``, are still allocated on each call.
+``gelu`` also writes its ``tanh`` into a ``tanh=`` array when given one, and
+``gelu_grad`` reads it back instead of computing it again.
 
 Callers look each kernel up as ``kernels.<name>`` at call time, so the
 ``kernels.*`` spans of ``python3 benchmarks/run.py --trace 1`` can time each
@@ -87,12 +88,13 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, *
 
 
 def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: np.ndarray, *,
-                    out: Optional[tuple] = None, scratch: Optional[np.ndarray] = None):
-    """``(dx, dgamma, dbeta)``; ``out`` is that tuple."""
+                    out: Optional[np.ndarray] = None,
+                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """``dx``, row by row. The parameters' gradients are column sums, which
+    the caller takes over the rows of one example at a time."""
     d = dy.shape[-1]
-    dx, dgamma, dbeta = out or (np.empty_like(dy), np.empty(d), np.empty(d))
     (t,) = _temporaries(scratch, dy.shape, 1)
-    np.multiply(dy, gamma, out=dx)  # dxhat until it is scaled
+    dx = np.multiply(dy, gamma, out=out)  # dxhat until it is scaled
     np.multiply(dx, xhat, out=t)
     m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
     m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
@@ -100,55 +102,51 @@ def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: n
     np.multiply(xhat, m2, out=t)
     dx -= t
     dx *= rstd[:, None]
-    np.multiply(dy, xhat, out=t)
-    np.add.reduce(t, axis=0, out=dgamma)
-    np.add.reduce(dy, axis=0, out=dbeta)
-    return dx, dgamma, dbeta
+    return dx
 
 
 # Powers are written as products: numpy evaluates a float ``x ** 3`` with
 # ``pow`` per element, which costs about ten times the rest of the GELU.
 
 def gelu(x: np.ndarray, *, out: Optional[np.ndarray] = None,
-         scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """``0.5 * x * (1 + tanh(C * (x + A * x**3)))``."""
-    (t,) = _temporaries(scratch, x.shape, 1)
+         scratch: Optional[np.ndarray] = None,
+         tanh: Optional[np.ndarray] = None) -> np.ndarray:
+    """``0.5 * x * (1 + tanh(C * (x + A * x**3)))``; the ``tanh`` goes to
+    ``tanh`` when given, for ``gelu_grad``."""
+    (u,) = _temporaries(scratch, x.shape, 1)
+    t = u if tanh is None else tanh
     np.multiply(x, x, out=t)
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    t += 1.0
+    np.add(t, 1.0, out=u)
     out = np.multiply(x, 0.5, out=out)
-    out *= t
+    out *= u
     return out
 
 
-def gelu_grad(dy: np.ndarray, x: np.ndarray, *, out: Optional[np.ndarray] = None,
+def gelu_grad(dy: np.ndarray, x: np.ndarray, tanh: np.ndarray, *,
+              out: Optional[np.ndarray] = None,
               scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """``dy * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner)``, where ``t``
-    is the forward pass's tanh and ``dinner = C * (1 + 3 * A * x**2)``."""
-    dinner, slope, u = _temporaries(scratch, x.shape, 3)
-    np.multiply(x, x, out=dinner)
-    t = np.multiply(dinner, x, out=out)
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    dinner *= 3.0 * _GELU_A
-    dinner += 1.0
-    dinner *= _GELU_C
+    is ``tanh``, the forward pass's, and ``dinner = C * (1 + 3 * A * x**2)``."""
+    (slope,) = _temporaries(scratch, x.shape, 1)
     np.multiply(x, 0.5, out=slope)
-    np.multiply(t, t, out=u)
-    np.subtract(1.0, u, out=u)
-    slope *= u
-    slope *= dinner
-    t += 1.0
-    t *= 0.5
-    t += slope
-    t *= dy
-    return t
+    g = np.multiply(tanh, tanh, out=out)
+    np.subtract(1.0, g, out=g)
+    slope *= g
+    np.multiply(x, x, out=g)  # dinner
+    g *= 3.0 * _GELU_A
+    g += 1.0
+    g *= _GELU_C
+    slope *= g
+    np.add(tanh, 1.0, out=g)
+    g *= 0.5
+    g += slope
+    g *= dy
+    return g
 
 
 _ADAM_BLOCK = 1 << 15  # elements: 256 KB per scratch array

@@ -12,46 +12,58 @@ encoder and the cross-attention, so the model reduces to the first encoder
 alone. Single mode is that first encoder alone: it has no context encoder or
 cross-attention, and its context sequence must be empty.
 
-Each dropout mask is drawn at ``max_seq_len`` rows and cut to the sequence's
-length, so the seeded stream does not depend on how long a sequence is. A
-forward pass draws all its masks in one ``rng.random`` call of shape
-``(count, max_seq_len, model_dim)``, which reads the stream exactly as one
-draw per mask would, and makes each ``(draw >= rate) / (1 - rate)``
-(inverted dropout) in place. The forward and backward passes read a mask by
-its index in that block: an encoder's embedding mask at 0, its layer ``l``'s
-attention mask at ``1 + 2l`` and FFN mask at ``2 + 2l``; encoder 1's block
-first, then encoder 2's (from ``1 + 2 * num_layers``), then cross-attention's
-last. A pass without context draws encoder 1's alone.
+Each example draws its dropout masks from its own seed, at ``max_seq_len``
+rows each, cut to its sequences' lengths, so the seeded stream does not
+depend on how long a sequence is or which chunk it runs in. An example draws
+all its masks in one ``rng.random`` call of shape ``(count, max_seq_len,
+model_dim)``, which reads the stream exactly as one draw per mask would; its
+masks' first rows go to the rows it owns in the chunk's masks, which are made
+``(draw >= rate) / (1 - rate)`` (inverted dropout) in place. The forward and
+backward passes read a mask by its index: an encoder's embedding mask at 0,
+its layer ``l``'s attention mask at ``1 + 2l`` and FFN mask at ``2 + 2l``;
+encoder 1's block first, then encoder 2's (from ``1 + 2 * num_layers``), then
+cross-attention's last. An example without context draws encoder 1's alone.
 
 A forward pass runs one example or a chunk of them. A chunk's sequences are
 stacked: its seq1 ids back to back, example 0's rows first, and likewise its
 seq2 ids, where an example without context owns no rows. Every position-wise
 operation runs once over the stacked rows: the embedding gather and positions,
-each layer norm, the attention projections, the FFN and GELU. Self-attention,
-cross-attention (an example's first-encoder rows onto its own context rows),
-pooling and the heads loop over the examples, so no example sees another's
-rows, and each example's outputs are bitwise those of a pass over it alone.
-numpy computes a one-row product by ``gemv``, though, which rounds
-differently from the rows of a ``gemm``, so a one-row sequence keeps that
-only in a chunk of its own (``evaluation.predict`` packs it alone). Dropout
-and ``backward`` take one example: a chunk of one.
+dropout, each layer norm, the attention projections, the FFN and GELU.
+Self-attention, cross-attention (an example's first-encoder rows onto its own
+context rows), pooling and the heads loop over the examples, so no example
+sees another's rows, and each example's outputs are bitwise those of a pass
+over it alone. numpy computes a one-row product by ``gemv``, though, which
+rounds differently from the rows of a ``gemm``, so a one-row sequence keeps
+that only in a chunk of its own; ``chunks`` packs it alone.
+
+``backward`` runs a chunk's forward pass once and then its gradient, reading
+each example's rows back from the workspace. Position-wise work runs once over
+the stacked rows: dropout, ``gelu_grad``, each layer norm's input gradient,
+the embedding rows' ``add.at``. Each parameter's gradient is summed per
+example, in example order: the weight products, bias and layer-norm column
+sums, the attention core, pooling and heads, and the positions. So every
+tensor gets the same sequence of adds as one call per example would make, and
+the same bytes. So do the products with a transposed weight (``dy @ w.T``),
+which run per example too: OpenBLAS takes another path for a small product
+with a transposed operand, so a chunk's product would round an example's rows
+otherwise than a product over them alone.
 
 A ``Workspace`` holds every array that the forward and backward passes
-write: the dropout draws, each layer's activations, attention scores and
-probabilities, the FFN and GELU temporaries, and the backward deltas. A slot
-that the forward pass writes row by row has the workspace's row capacity, at
-least ``max_seq_len``; the others are sized for one example. Each is used
-through contiguous views of its head. A slot named after a part of the model
-(``enc1.layer0.ln2.y``, ``enc1.layer0.h1``, ``cross.probs``) is the one
-record of that part's forward pass: ``backward`` runs the forward pass into
-the workspace, then reads each part's inputs and activations back from those
-slots. The attention probabilities are per example, and after a chunk hold
-its last example that ran that attention. ``forward`` and ``backward`` make
-a fresh workspace unless they are given one; ``train`` keeps one for its run
-and ``evaluation.predict`` one per split, so a run of examples allocates
-none of these arrays per example. What is still allocated per call is small:
-the kernels' row statistics, the chunk's ids and positions, and numpy's own
-iterator buffers.
+write: the dropout draws and masks, each layer's activations, attention
+scores and probabilities, the FFN and GELU temporaries, and the backward
+deltas. A row slot has the workspace's row capacity, at least
+``max_seq_len``; a slot of one example's attention core is sized for one
+example. Each is used through contiguous views. A slot named after a part of
+the model (``enc1.layer0.ln2.xhat``, ``enc1.layer0.tanh``, ``cross.probs``) is
+the one record of that part's forward pass, which ``backward`` reads back.
+The attention probabilities of every example stay there, one after the
+other, when ``backward`` runs the pass; after ``forward`` they hold the
+chunk's last example that ran that attention. ``forward`` and ``backward``
+make a fresh workspace unless they are given one; ``train`` keeps one for
+its run, chunks and dev scoring alike, and ``evaluation.predict`` one per
+split, so a run of examples allocates none of these arrays per example. What
+is still allocated per call is small: the kernels' row statistics, the
+chunk's ids and positions, and numpy's own iterator buffers.
 Results go there through ``out=`` into contiguous arrays of the shapes the
 plain expressions would allocate, which keeps their BLAS calls, their
 reduction order and every output byte. A ``ForwardTrace``'s arrays are views
@@ -65,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,24 +195,31 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
     return params
 
 
+# a workspace's default rows, as a multiple of max_seq_len, for a caller that
+# packs chunks: 128 and 512 rows scored no faster than 256 at max_seq_len 64
+CHUNK_SEQUENCES = 4
+
+
 class Workspace:
     """Every array that ``forward`` and ``backward`` write, made once for
     ``config`` and reused by every pass (see the module docstring).
 
-    Each array is a named slot. A row slot that the forward pass writes has
-    ``rows`` rows (``max_seq_len`` by default, and never fewer), its
-    ``capacity``; one that only ``backward`` writes has ``max_seq_len``. In a
-    chunk, example ``i`` owns the rows of an encoder's slots that follow
-    those of examples ``0`` to ``i - 1``, and row ``i`` of ``pooled`` and
-    ``outputs``. ``rows(name, n)`` is a slot's first ``n`` rows. A head slot
-    is flat and sized for one example: ``heads(name, h, n, k)`` is its first
-    ``h * n * k`` elements as a contiguous (h, n, k) array. A slot named
-    after a layer norm, FFN or attention (``enc1.layer0.ln1.y``,
-    ``cross.probs``) is the one record of that part's forward pass, and
-    ``backward`` reads it from there; after a chunk, the attention
-    probabilities hold only its last example that ran that attention. The
-    other slots hold temporaries that each part reuses in turn. ``draws``
-    holds the pass's dropout masks, read by index in the order the module
+    Each array is a named slot. A row slot has ``rows`` rows (``max_seq_len``
+    by default, and never fewer), its ``capacity``. In a chunk, example ``i``
+    owns the rows of an encoder's slots that follow those of examples ``0``
+    to ``i - 1``, and row ``i`` of ``pooled`` and ``outputs``.
+    ``rows(name, n)`` is a slot's first ``n`` rows. A head slot is flat:
+    ``heads(name, h, n, k, offset)`` is its ``h * n * k`` elements from
+    ``offset`` on as a contiguous (h, n, k) array. A slot named after a layer
+    norm, FFN or attention (``enc1.layer0.ln1.xhat``, ``enc1.layer0.tanh``,
+    ``cross.probs``) is the one record of that part's forward pass over the
+    chunk, and ``backward`` reads it from there. An attention's ``probs``
+    hold room for ``rows * max_seq_len`` per head: each example's
+    probabilities, back to back, when ``backward`` runs the pass, and the
+    last example's after ``forward``. The other slots hold temporaries that
+    each part reuses in turn; those of one example's attention core are
+    sized for one example. ``draws`` holds one example's dropout draws and
+    ``masks`` the chunk's masks, read by index in the order the module
     docstring states."""
 
     def __init__(self, config: ModelConfig, rows: Optional[int] = None):
@@ -211,32 +230,33 @@ class Workspace:
         dual = config.mode == "dual"
         encoders = ("enc1", "enc2") if dual else ("enc1",)
         layers = [f"{enc}.layer{layer}" for enc in encoders for layer in range(config.num_layers)]
-        attentions = [f"{base}.attn" for base in layers] + ["cross"] * dual
+        heads = {f"{base}.attn": config.num_heads for base in layers}
+        heads.update({"cross": config.num_cross_heads} if dual else {})
         norms = [f"{base}.{ln}" for base in layers for ln in ("ln1", "ln2")]
         norms += [f"{enc}.final_ln" for enc in encoders]
-        square = max(config.num_heads, config.num_cross_heads) * L * L
-        shapes = {f"{ln}.{name}": (R, d) for ln in norms for name in ("y", "xhat")}
+        square = max(heads.values()) * L * L
+        shapes = {f"{ln}.xhat": (R, d) for ln in norms}
+        shapes.update({f"{enc}.final_ln.y": (R, d) for enc in encoders})
         shapes.update({f"{ln}.rstd": (R,) for ln in norms})
-        shapes.update({f"{base}.{name}": (R, f) for base in layers for name in ("h1", "a")})
-        shapes.update({f"{attn}.{name}": (R, d) for attn in attentions
+        shapes.update({f"{base}.{name}": (R, f) for base in layers for name in ("h1", "tanh")})
+        shapes.update({f"{attn}.{name}": (R, d) for attn in heads
                        for name in ("q", "k", "v", "ctx")})
-        shapes.update({f"{attn}.probs": (square,) for attn in attentions})
+        shapes.update({f"{attn}.probs": (h * L * R,) for attn, h in heads.items()})
         # the dropout masks: a (max_seq_len, model_dim) block per use in one pass
-        shapes["draws"] = ((1 + 2 * config.num_layers) * len(encoders) + dual, L, d)
-        shapes.update(x=(R, d), proj=(R, d), pooled=(R, d), outputs=(R, 3))
-        shapes.update(dict.fromkeys(("denc1", "dx", "dmasked", "dy", "dln", "dctx",
-                                     "dq", "dk", "dv", "dxq", "dxkv", "dxkv_v"), (L, d)))
-        shapes.update(da=(L, f), dh1=(L, f))
-        shapes.update(dict.fromkeys(("scores", "dprobs", "dscores"), (square,)))
+        count = (1 + 2 * config.num_layers) * len(encoders) + dual
+        shapes.update(draws=(count, L, d), masks=(count, R, d))
+        shapes.update(dict.fromkeys(("x", "y", "proj", "pooled", "dpooled", "denc1", "dx",
+                                     "dmasked", "dy", "dln", "dctx", "dq", "dk", "dv", "dxq",
+                                     "dxkv", "dxkv_v"), (R, d)))
+        shapes.update(outputs=(R, 3), a=(R, f), dh1=(R, f))
+        shapes.update(dict.fromkeys(("scores", "dscores"), (square,)))
         shapes.update(dict.fromkeys(("heads", "dvh", "dqh", "dkh"), (L * d,)))
-        shapes.update(dict.fromkeys(("dpooled", "dgamma", "dbeta"), (d,)))
-        # the kernels' temporaries: gelu's one over a chunk, gelu_grad's three over an example
-        shapes["scratch"] = (max(R, 3 * L) * max(d, f),)
+        # the kernels' one temporary over a chunk, and a backward pass's (rows, d) one
+        shapes["scratch"] = (R * max(d, f),)
         shapes["column"] = (max(d, f),)  # a bias's gradient
         shapes["product"] = (d * max(d, f),)  # a weight's gradient
         self.slots = slots = {name: np.empty(shape) for name, shape in shapes.items()}
         self.scratch, self.column = slots["scratch"], slots["column"]
-        self.dpooled, self.dgamma, self.dbeta = slots["dpooled"], slots["dgamma"], slots["dbeta"]
         self.product = {shape: slots["product"][: shape[0] * shape[1]].reshape(shape)
                         for shape in ((d, d), (d, f), (f, d))}
 
@@ -248,8 +268,26 @@ class Workspace:
     def rows(self, name: str, n: int) -> np.ndarray:
         return self.slots[name][:n]
 
-    def heads(self, name: str, h: int, n: int, k: int) -> np.ndarray:
-        return self.slots[name][: h * n * k].reshape(h, n, k)
+    def heads(self, name: str, h: int, n: int, k: int, offset: int = 0) -> np.ndarray:
+        return self.slots[name][offset : offset + h * n * k].reshape(h, n, k)
+
+
+def chunks(examples: Sequence, capacity: int) -> Iterator[slice]:
+    """Consecutive runs of ``examples`` (each with a ``seq1`` and a ``seq2``),
+    each as long as its seq1s, and its seq2s, fit ``capacity`` rows in all.
+    An example with a one-row sequence is a run of its own: numpy computes a
+    one-row product by ``gemv``, which rounds differently from the rows of a
+    ``gemm``."""
+    start = rows1 = rows2 = 0
+    for i, example in enumerate(examples):
+        n1, n2 = len(example.seq1), len(example.seq2)
+        if i > start and (rows1 + n1 > capacity or rows2 + n2 > capacity
+                          or 1 in (n1, n2, rows1, rows2)):
+            yield slice(start, i)
+            start, rows1, rows2 = i, 0, 0
+        rows1, rows2 = rows1 + n1, rows2 + n2
+    if start < len(examples):
+        yield slice(start, len(examples))
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -274,6 +312,16 @@ def _add_column_sum(grad: np.ndarray, x: np.ndarray, ws: Workspace) -> None:
     grad += np.add.reduce(x, axis=0, out=ws.column[: x.shape[1]])
 
 
+def _product_t(x: np.ndarray, w: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` into ``out``, one product per example's ``rows``. OpenBLAS
+    takes another path for a transposed operand when a product is small, so
+    one product over a chunk's rows would round an example's rows
+    differently from a product over them alone."""
+    for r in rows:
+        np.matmul(x[r], w.T, out=out[r])
+    return out
+
+
 def _dropped(dx: np.ndarray, masks: Optional[np.ndarray], i: int, ws: Workspace) -> np.ndarray:
     """``dx`` times mask ``i`` of ``masks`` in the workspace, or ``dx`` when
     dropout is off (``masks`` is None)."""
@@ -281,22 +329,33 @@ def _dropped(dx: np.ndarray, masks: Optional[np.ndarray], i: int, ws: Workspace)
     return dx if masks is None else np.multiply(dx, masks[i][:n], out=ws.rows("dmasked", n))
 
 
-def _layer_norm(p, ln, x, ws):
-    """``kernels.layer_norm`` of ``x`` by the ``ln`` parameters, into its slots."""
+def _layer_norm(p, ln, x, ws, y_slot):
+    """``kernels.layer_norm`` of ``x`` by the ``ln`` parameters, into its
+    slots, its output into ``y_slot``."""
     n = x.shape[0]
     return kernels.layer_norm(x, p[f"{ln}.gamma"], p[f"{ln}.beta"], LN_EPS, out=(
-        ws.rows(f"{ln}.y", n), ws.rows(f"{ln}.xhat", n), ws.rows(f"{ln}.rstd", n)))
+        ws.rows(y_slot, n), ws.rows(f"{ln}.xhat", n), ws.rows(f"{ln}.rstd", n)))
 
 
-def _layer_norm_backward(p, ln, dy, ws, slot, grads):
-    """The gradient at the input of layer norm ``ln``, into ``slot``; adds
-    those of its parameters into ``grads``."""
-    dx, dgamma, dbeta = kernels.layer_norm_grad(
-        dy, p[f"{ln}.gamma"], ws.rows(f"{ln}.xhat", dy.shape[0]),
-        ws.rows(f"{ln}.rstd", dy.shape[0]), scratch=ws.scratch,
-        out=(ws.rows(slot, dy.shape[0]), ws.dgamma, ws.dbeta))
-    grads[f"{ln}.gamma"] += dgamma
-    grads[f"{ln}.beta"] += dbeta
+def _layer_norm_output(p, ln, n, ws):
+    """The output of layer norm ``ln`` over ``n`` rows, made again from its
+    ``xhat`` by ``kernels.layer_norm``'s operations, in the ``y`` slot."""
+    y = np.multiply(ws.rows(f"{ln}.xhat", n), p[f"{ln}.gamma"], out=ws.rows("y", n))
+    y += p[f"{ln}.beta"]
+    return y
+
+
+def _layer_norm_backward(p, ln, dy, rows, ws, slot, grads):
+    """The gradient at the input of layer norm ``ln``, into ``slot``, over all
+    rows at once; adds each example's (``rows``) gradients of its parameters
+    into ``grads``."""
+    (n, d), xhat = dy.shape, ws.rows(f"{ln}.xhat", dy.shape[0])
+    dx = kernels.layer_norm_grad(dy, p[f"{ln}.gamma"], xhat, ws.rows(f"{ln}.rstd", n),
+                                 out=ws.rows(slot, n), scratch=ws.scratch)
+    dgamma = np.multiply(dy, xhat, out=ws.scratch[: n * d].reshape(n, d))
+    for r in rows:
+        _add_column_sum(grads[f"{ln}.gamma"], dgamma[r], ws)
+        _add_column_sum(grads[f"{ln}.beta"], dy[r], ws)
     return dx
 
 
@@ -308,17 +367,20 @@ def _split_qkv(prefix, qrows, krows, num_heads, ws):
             _split_heads(ws.slots[f"{prefix}.v"][krows], num_heads))
 
 
-def _attention(p, prefix, xq, xkv, pairs, num_heads, ws):
+def _attention(p, prefix, xq, xkv, pairs, num_heads, ws, keep):
     """Multi-head attention of ``xq`` onto ``xkv``; the output goes to
     ``proj``, and what ``backward`` reads to the ``prefix`` slots. The
     projections run over all rows at once. Each (query rows, key rows) slice
     pair of ``pairs`` is an example, whose queries attend to its own keys
-    only; an example without keys gets a zero context."""
+    only; an example without keys gets a zero context. With ``keep`` each
+    example's probabilities follow the last one's, for ``backward``; without,
+    each overwrites the last."""
     (nq, d), dh = xq.shape, xq.shape[1] // num_heads
     for name, x in (("q", xq), ("k", xkv), ("v", xkv)):
         projected = np.matmul(x, p[f"{prefix}.w{name}"], out=ws.rows(f"{prefix}.{name}", len(x)))
         projected += p[f"{prefix}.b{name}"]
     ctx = ws.rows(f"{prefix}.ctx", nq)
+    offset = 0
     for qrows, krows in pairs:
         if krows.start == krows.stop:
             ctx[qrows] = 0.0
@@ -327,7 +389,9 @@ def _attention(p, prefix, xq, xkv, pairs, num_heads, ws):
         n, k = qh.shape[1], kh.shape[1]
         scores = np.matmul(qh, kh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, n, k))
         scores *= 1.0 / math.sqrt(dh)
-        probs = kernels.masked_softmax(scores, out=ws.heads(f"{prefix}.probs", num_heads, n, k))
+        probs = kernels.masked_softmax(
+            scores, out=ws.heads(f"{prefix}.probs", num_heads, n, k, offset))
+        offset += probs.size if keep else 0
         heads = np.matmul(probs, vh, out=ws.heads("heads", num_heads, n, dh))
         _merge_heads(heads, ctx[qrows])
     out = np.matmul(ctx, p[f"{prefix}.wo"], out=ws.rows("proj", nq))
@@ -335,45 +399,57 @@ def _attention(p, prefix, xq, xkv, pairs, num_heads, ws):
     return out
 
 
-def _attention_backward(p, prefix, xq, xkv, num_heads, dout, grads, ws):
-    """Returns (dxq, dxkv), in the ``dxq`` and ``dxkv`` slots, and accumulates
-    parameter gradients; reads the forward pass of one example from the
-    ``prefix`` slots."""
+def _attention_backward(p, prefix, xq, xkv, pairs, num_heads, dout, grads, ws):
+    """Returns (dxq, dxkv), in the ``dxq`` and ``dxkv`` slots, and adds each
+    example's parameter gradients, in order; reads the forward pass from the
+    ``prefix`` slots. ``pairs`` are the (query rows, key rows) of the
+    examples with keys; the rows of ``dxq`` of an example without are not
+    written from its own ``dout``, and are not to be read."""
     (nq, d), nk = xq.shape, xkv.shape[0]
     dh = d // num_heads
-    qh, kh, vh = _split_qkv(prefix, slice(nq), slice(nk), num_heads, ws)
-    probs = ws.heads(f"{prefix}.probs", num_heads, nq, nk)
     scale = 1.0 / math.sqrt(dh)
-
-    _add_product(grads[f"{prefix}.wo"], ws.rows(f"{prefix}.ctx", nq).T, dout, ws)
-    _add_column_sum(grads[f"{prefix}.bo"], dout, ws)
-    dctx = np.matmul(dout, p[f"{prefix}.wo"].T, out=ws.rows("dctx", nq))
-    dctx_h = _split_heads(dctx, num_heads)
-    dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1), out=ws.heads("dprobs", num_heads, nq, nk))
-    dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h, out=ws.heads("dvh", num_heads, nk, dh))
-    dscores = kernels.masked_softmax_grad(probs, dprobs, out=ws.heads("dscores", num_heads, nq, nk))
-    dqh = np.matmul(dscores, kh, out=ws.heads("dqh", num_heads, nq, dh))
-    dqh *= scale
-    dkh = np.matmul(dscores.transpose(0, 2, 1), qh, out=ws.heads("dkh", num_heads, nk, dh))
-    dkh *= scale
-    dq = _merge_heads(dqh, ws.rows("dq", nq))
-    dk = _merge_heads(dkh, ws.rows("dk", nk))
-    dv = _merge_heads(dvh, ws.rows("dv", nk))
-    for name, x, dy in (("q", xq, dq), ("k", xkv, dk), ("v", xkv, dv)):
-        _add_product(grads[f"{prefix}.w{name}"], x.T, dy, ws)
-        _add_column_sum(grads[f"{prefix}.b{name}"], dy, ws)
-    dxq = np.matmul(dq, p[f"{prefix}.wq"].T, out=ws.rows("dxq", nq))
-    dxkv = np.matmul(dk, p[f"{prefix}.wk"].T, out=ws.rows("dxkv", nk))
-    dxkv += np.matmul(dv, p[f"{prefix}.wv"].T, out=ws.rows("dxkv_v", nk))
+    ctx = ws.rows(f"{prefix}.ctx", nq)
+    queries, keys = [q for q, _ in pairs], [k for _, k in pairs]
+    dctx = _product_t(dout, p[f"{prefix}.wo"], queries, ws.rows("dctx", nq))
+    dq, dk, dv = ws.rows("dq", nq), ws.rows("dk", nk), ws.rows("dv", nk)
+    offset = 0
+    for qrows, krows in pairs:
+        _add_product(grads[f"{prefix}.wo"], ctx[qrows].T, dout[qrows], ws)
+        _add_column_sum(grads[f"{prefix}.bo"], dout[qrows], ws)
+        qh, kh, vh = _split_qkv(prefix, qrows, krows, num_heads, ws)
+        n, k = qh.shape[1], kh.shape[1]
+        probs = ws.heads(f"{prefix}.probs", num_heads, n, k, offset)
+        offset += probs.size
+        dctx_h = _split_heads(dctx[qrows], num_heads)
+        # in the slot of the forward pass's scores
+        dprobs = np.matmul(dctx_h, vh.transpose(0, 2, 1), out=ws.heads("scores", num_heads, n, k))
+        dvh = np.matmul(probs.transpose(0, 2, 1), dctx_h, out=ws.heads("dvh", num_heads, k, dh))
+        dscores = kernels.masked_softmax_grad(probs, dprobs,
+                                              out=ws.heads("dscores", num_heads, n, k))
+        dqh = np.matmul(dscores, kh, out=ws.heads("dqh", num_heads, n, dh))
+        dqh *= scale
+        dkh = np.matmul(dscores.transpose(0, 2, 1), qh, out=ws.heads("dkh", num_heads, k, dh))
+        dkh *= scale
+        _merge_heads(dqh, dq[qrows])
+        _merge_heads(dkh, dk[krows])
+        _merge_heads(dvh, dv[krows])
+        for name, x, dy, rows in (("q", xq, dq, qrows), ("k", xkv, dk, krows),
+                                  ("v", xkv, dv, krows)):
+            _add_product(grads[f"{prefix}.w{name}"], x[rows].T, dy[rows], ws)
+            _add_column_sum(grads[f"{prefix}.b{name}"], dy[rows], ws)
+    dxq = _product_t(dq, p[f"{prefix}.wq"], queries, ws.rows("dxq", nq))
+    dxkv = _product_t(dk, p[f"{prefix}.wk"], keys, ws.rows("dxkv", nk))
+    dxkv += _product_t(dv, p[f"{prefix}.wv"], keys, ws.rows("dxkv_v", nk))
     return dxq, dxkv
 
 
-def _encoder_forward(p, enc, ids, rows, config, masks, ws):
+def _encoder_forward(p, enc, ids, rows, config, masks, ws, keep):
     """The encoder's output, in its ``final_ln.y`` slot. ``ids`` are the
-    chunk's sequences back to back, and ``rows`` the slice of them that each
-    example owns. ``masks`` holds its inverted-dropout masks by index: the
-    embedding's at 0, layer ``l``'s attention at ``1 + 2l`` and FFN at
-    ``2 + 2l``; None turns dropout off."""
+    chunk's sequences back to back, and ``rows`` the slices of them that its
+    examples with rows own. ``masks`` holds its inverted-dropout masks by
+    index: the embedding's at 0, layer ``l``'s attention at ``1 + 2l`` and
+    FFN at ``2 + 2l``; None turns dropout off. ``keep`` is as for
+    ``_attention``."""
     n = ids.shape[0]
     table = p[f"{enc}.tok_emb"]
     size = table.shape[0]
@@ -386,66 +462,75 @@ def _encoder_forward(p, enc, ids, rows, config, masks, ws):
         x[r] += positions[: r.stop - r.start]
     if masks is not None:
         x *= masks[0][:n]
-    pairs = [(r, r) for r in rows if r.stop > r.start]
+    pairs = [(r, r) for r in rows]
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
-        y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws)
-        attn_out = _attention(p, f"{base}.attn", y1, y1, pairs, config.num_heads, ws)
+        y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws, "y")
+        attn_out = _attention(p, f"{base}.attn", y1, y1, pairs, config.num_heads, ws, keep)
         if masks is not None:
             attn_out *= masks[1 + 2 * layer][:n]
         x += attn_out
-        y2, _, _ = _layer_norm(p, f"{base}.ln2", x, ws)
+        y2, _, _ = _layer_norm(p, f"{base}.ln2", x, ws, "y")
         h1 = np.matmul(y2, p[f"{base}.ffn.w1"], out=ws.rows(f"{base}.h1", n))
         h1 += p[f"{base}.ffn.b1"]
-        a = kernels.gelu(h1, out=ws.rows(f"{base}.a", n), scratch=ws.scratch)
+        a = kernels.gelu(h1, out=ws.rows("a", n), scratch=ws.scratch,
+                         tanh=ws.rows(f"{base}.tanh", n))
         ffn_out = np.matmul(a, p[f"{base}.ffn.w2"], out=ws.rows("proj", n))
         ffn_out += p[f"{base}.ffn.b2"]
         if masks is not None:
             ffn_out *= masks[2 + 2 * layer][:n]
         x += ffn_out
-    out, _, _ = _layer_norm(p, f"{enc}.final_ln", x, ws)
+    out, _, _ = _layer_norm(p, f"{enc}.final_ln", x, ws, f"{enc}.final_ln.y")
     return out
 
 
-def _encoder_backward(p, enc, ids, config, masks, dout, grads, ws):
+def _encoder_backward(p, enc, ids, rows, config, masks, dout, grads, ws):
     """Reads the forward pass of ``ids`` from the encoder's slots and
     ``masks`` as ``_encoder_forward`` does, and ``dout`` before it writes any
-    slot that ``dout`` may be."""
+    slot that ``dout`` may be. Position-wise work runs over all rows at once;
+    each parameter's gradient takes one add per example (``rows``), in order."""
     n = ids.shape[0]
-    dx = _layer_norm_backward(p, f"{enc}.final_ln", dout, ws, "dx", grads)
+    dx = _layer_norm_backward(p, f"{enc}.final_ln", dout, rows, ws, "dx", grads)
     for layer in reversed(range(config.num_layers)):
         base = f"{enc}.layer{layer}"
         df = _dropped(dx, masks, 2 + 2 * layer, ws)
-        _add_product(grads[f"{base}.ffn.w2"], ws.rows(f"{base}.a", n).T, df, ws)
-        _add_column_sum(grads[f"{base}.ffn.b2"], df, ws)
-        da = np.matmul(df, p[f"{base}.ffn.w2"].T, out=ws.rows("da", n))
-        dh1 = kernels.gelu_grad(da, ws.rows(f"{base}.h1", n), out=ws.rows("dh1", n),
-                                scratch=ws.scratch)
-        _add_product(grads[f"{base}.ffn.w1"], ws.rows(f"{base}.ln2.y", n).T, dh1, ws)
-        _add_column_sum(grads[f"{base}.ffn.b1"], dh1, ws)
-        dy2 = np.matmul(dh1, p[f"{base}.ffn.w1"].T, out=ws.rows("dy", n))
-        dx += _layer_norm_backward(p, f"{base}.ln2", dy2, ws, "dln", grads)  # dx1
+        h1, tanh = ws.rows(f"{base}.h1", n), ws.rows(f"{base}.tanh", n)
+        # the GELU output made again by gelu's operations, (h1 * 0.5) * (tanh + 1):
+        # a slot per layer fewer, as are the layer norms' outputs
+        a = np.multiply(h1, 0.5, out=ws.rows("a", n))
+        a *= np.add(tanh, 1.0, out=ws.rows("dh1", n))
+        for r in rows:
+            _add_product(grads[f"{base}.ffn.w2"], a[r].T, df[r], ws)
+            _add_column_sum(grads[f"{base}.ffn.b2"], df[r], ws)
+        da = _product_t(df, p[f"{base}.ffn.w2"], rows, a)
+        dh1 = kernels.gelu_grad(da, h1, tanh, out=ws.rows("dh1", n), scratch=ws.scratch)
+        y2 = _layer_norm_output(p, f"{base}.ln2", n, ws)
+        for r in rows:
+            _add_product(grads[f"{base}.ffn.w1"], y2[r].T, dh1[r], ws)
+            _add_column_sum(grads[f"{base}.ffn.b1"], dh1[r], ws)
+        dy2 = _product_t(dh1, p[f"{base}.ffn.w1"], rows, ws.rows("dy", n))
+        dx += _layer_norm_backward(p, f"{base}.ln2", dy2, rows, ws, "dln", grads)  # dx1
         dattn = _dropped(dx, masks, 1 + 2 * layer, ws)
         # self-attention: queries and keys/values are the same states
-        y1 = ws.rows(f"{base}.ln1.y", n)
-        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", y1, y1, config.num_heads,
-                                          dattn, grads, ws)
+        y1 = _layer_norm_output(p, f"{base}.ln1", n, ws)
+        dy1q, dy1kv = _attention_backward(p, f"{base}.attn", y1, y1, [(r, r) for r in rows],
+                                          config.num_heads, dattn, grads, ws)
         dy1 = np.add(dy1q, dy1kv, out=ws.rows("dy", n))
-        dx += _layer_norm_backward(p, f"{base}.ln1", dy1, ws, "dln", grads)
+        dx += _layer_norm_backward(p, f"{base}.ln1", dy1, rows, ws, "dln", grads)
     if masks is not None:
         dx *= masks[0][:n]
-    np.add.at(grads[f"{enc}.tok_emb"], ids, dx)
-    grads[f"{enc}.pos_emb"][:n] += dx
+    np.add.at(grads[f"{enc}.tok_emb"], ids, dx)  # in row order: example 0's adds first
+    positions = grads[f"{enc}.pos_emb"]
+    for r in rows:
+        positions[: r.stop - r.start] += dx[r]
 
 
-def _check_inputs(config, seqs1, seqs2, dropout_on, capacity):
+def _check_inputs(config, seqs1, seqs2, capacity):
     """Each example's slice of the chunk's seq1 rows and of its seq2 rows,
     once every example has passed the checks; an error names the example."""
     if not seqs1 or len(seqs1) != len(seqs2):
         raise ShapeMismatch(f"a chunk needs as many seq2s as seq1s, and at least one: "
                             f"got {len(seqs1)} and {len(seqs2)}")
-    if dropout_on and len(seqs1) > 1:
-        raise ValueError(f"dropout runs one example at a time, not a chunk of {len(seqs1)}")
     rows1, rows2 = [], []
     end1 = end2 = 0
     for i, (seq1, seq2) in enumerate(zip(seqs1, seqs2)):
@@ -468,30 +553,54 @@ def _check_inputs(config, seqs1, seqs2, dropout_on, capacity):
     return rows1, rows2
 
 
-def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
-    """The pass's trace, and its dropout masks (the ``draws`` rows) or None.
-    ``seq1`` and ``seq2`` are one example's arrays, or a chunk's lists."""
+def _draw_masks(config, rng_seeds, rows1, rows2, ws):
+    """The chunk's inverted-dropout masks, in the ``masks`` slot. Each example
+    draws its block of ``(max_seq_len, model_dim)`` masks from its own seed,
+    in one ``rng.random`` call that reads the stream exactly as one draw per
+    mask would, and its masks' first rows go to the rows it owns."""
+    if np.ndim(rng_seeds) != 1 or len(rng_seeds) != len(rows1):
+        raise ValueError(f"a chunk of {len(rows1)} examples needs a seed per example, "
+                         f"got {rng_seeds!r}")
+    per_encoder = 1 + 2 * config.num_layers
+    dual = any(r2.stop > r2.start for r2 in rows2)
+    masks = ws.rows("masks", 2 * per_encoder + 1 if dual else per_encoder)
+    draws = ws.slots["draws"]
+    for seed, r1, r2 in zip(rng_seeds, rows1, rows2):
+        n1, n2 = r1.stop - r1.start, r2.stop - r2.start
+        drawn = draws[: 2 * per_encoder + 1 if n2 else per_encoder]
+        np.random.default_rng(seed).random(out=drawn)
+        masks[:per_encoder, r1] = drawn[:per_encoder, :n1]
+        if n2:
+            masks[per_encoder:-1, r2] = drawn[per_encoder:-1, :n2]
+            masks[-1, r1] = drawn[-1, :n1]
+    used = masks[:, : max(rows1[-1].stop, rows2[-1].stop)]
+    np.greater_equal(used, config.dropout_rate, out=used)  # 1.0 or 0.0
+    used /= 1.0 - config.dropout_rate
+    return masks
+
+
+def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws, keep=False):
+    """The pass's trace, its dropout masks (the ``masks`` rows) or None, and
+    each example's slices of the seq1 and seq2 rows. ``seq1`` and ``seq2``
+    are one example's arrays, or a chunk's lists; ``keep`` keeps every
+    example's attention probabilities, for ``backward``."""
     one = isinstance(seq1, np.ndarray)
     seqs1, seqs2 = ([seq1], [seq2]) if one else (list(seq1), list(seq2))
-    rows1, rows2 = _check_inputs(config, seqs1, seqs2, dropout_on, ws.capacity)
+    rows1, rows2 = _check_inputs(config, seqs1, seqs2, ws.capacity)
     ids1, ids2 = (seq1, seq2) if one else (np.concatenate(seqs1), np.concatenate(seqs2))
     n1, n2 = ids1.shape[0], ids2.shape[0]
     masks = None
     if dropout_on:
-        # every mask of the run from one call: the same numbers, in the same
-        # order, as one (max_seq_len, model_dim) draw per mask
-        per_encoder = 1 + 2 * config.num_layers
-        masks = ws.rows("draws", 2 * per_encoder + 1 if n2 else per_encoder)
-        np.random.default_rng(rng_seed).random(out=masks)
-        np.greater_equal(masks, config.dropout_rate, out=masks)  # 1.0 or 0.0
-        masks /= 1.0 - config.dropout_rate
-    fused = enc1_out = _encoder_forward(p, "enc1", ids1, rows1, config, masks, ws)
+        masks = _draw_masks(config, [rng_seed] if one else rng_seed, rows1, rows2, ws)
+    pairs = [(r1, r2) for r1, r2 in zip(rows1, rows2) if r2.stop > r2.start]
+    fused = enc1_out = _encoder_forward(p, "enc1", ids1, rows1, config, masks, ws, keep)
     enc2_out = None
     if n2:
         enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
-        enc2_out = _encoder_forward(p, "enc2", ids2, rows2, config, enc2_masks, ws)
+        enc2_out = _encoder_forward(p, "enc2", ids2, [r2 for _, r2 in pairs], config,
+                                    enc2_masks, ws, keep)
         cross_out = _attention(p, "cross", enc1_out, enc2_out, list(zip(rows1, rows2)),
-                               config.num_cross_heads, ws)
+                               config.num_cross_heads, ws, keep)
         if masks is not None:
             cross_out *= masks[-1][:n1]
         fused = np.add(enc1_out, cross_out, out=cross_out)
@@ -503,20 +612,28 @@ def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws):
         row /= r1.stop - r1.start
         for m, head in enumerate(HEAD_NAMES):
             outputs[i, m] = row @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
-    # the attention slots hold the last example that ran each attention
     h, layers = config.num_heads, range(config.num_layers)
-    last = len(seqs1[-1])
-    c1, c2 = [(len(s1), len(s2)) for s1, s2 in zip(seqs1, seqs2) if len(s2)][-1] if n2 else (0, 0)
+    selves1, selves2 = [(r1, r1) for r1 in rows1], [(r2, r2) for _, r2 in pairs]
     trace = ForwardTrace(
         enc1_states=enc1_out,
         enc2_states=enc2_out,
-        enc1_self_attn=[ws.heads(f"enc1.layer{i}.attn.probs", h, last, last) for i in layers],
-        enc2_self_attn=[ws.heads(f"enc2.layer{i}.attn.probs", h, c2, c2) for i in layers if n2],
-        cross_attn=ws.heads("cross.probs", config.num_cross_heads, c1, c2) if n2 else None,
+        enc1_self_attn=[_last_probs(ws, f"enc1.layer{i}.attn", h, selves1, keep)
+                        for i in layers],
+        enc2_self_attn=[_last_probs(ws, f"enc2.layer{i}.attn", h, selves2, keep)
+                        for i in layers if n2],
+        cross_attn=_last_probs(ws, "cross", config.num_cross_heads, pairs, keep) if n2 else None,
         pooled=pooled[0] if one else pooled,
         outputs=outputs[0] if one else outputs,
     )
-    return trace, masks
+    return trace, masks, rows1, rows2
+
+
+def _last_probs(ws, prefix, h, pairs, keep):
+    """The attention probabilities of the last of ``pairs``, the examples
+    that ran that attention, where ``_attention`` put them."""
+    *before, (q, k) = [(r.stop - r.start, s.stop - s.start) for r, s in pairs]
+    offset = sum(h * nq * nk for nq, nk in before) if keep else 0
+    return ws.heads(f"{prefix}.probs", h, q, k, offset)
 
 
 def forward(
@@ -525,69 +642,87 @@ def forward(
     seq1: Union[np.ndarray, Sequence[np.ndarray]],
     seq2: Union[np.ndarray, Sequence[np.ndarray]],
     dropout_enabled: bool = False,
-    rng_seed: int = 0,
+    rng_seed: Union[int, Sequence[int]] = 0,
     workspace: Optional[Workspace] = None,
 ) -> ForwardTrace:
-    """The pass over one example (``seq1`` and ``seq2`` arrays of ids), or
-    over a chunk of them (lists of such arrays, one pair per example) whose
-    seq1s, and whose seq2s, fit the workspace's ``capacity`` rows in all. A
-    chunk's ``outputs`` is (examples, 3) and its ``pooled`` (examples, d),
-    and it runs without dropout. The trace's arrays live in ``workspace``
-    (a fresh one of ``max_seq_len`` rows by default), so with a shared
-    workspace they hold until its next use."""
+    """The pass over one example (``seq1`` and ``seq2`` arrays of ids, and
+    one ``rng_seed``), or over a chunk of them (lists of such arrays, one
+    pair per example, and with dropout a seed per example) whose seq1s, and
+    whose seq2s, fit the workspace's ``capacity`` rows in all. A chunk's
+    ``outputs`` is (examples, 3) and its ``pooled`` (examples, d). The
+    trace's arrays live in ``workspace`` (a fresh one of ``max_seq_len`` rows
+    by default), so with a shared workspace they hold until its next use."""
     ws = Workspace(config) if workspace is None else workspace
-    trace, _ = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
-    return trace
+    return _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)[0]
 
 
 def backward(
     params: ModelParameters,
     config: ModelConfig,
-    seq1: np.ndarray,
-    seq2: np.ndarray,
+    seq1: Union[np.ndarray, Sequence[np.ndarray]],
+    seq2: Union[np.ndarray, Sequence[np.ndarray]],
     target: np.ndarray,
     dropout_enabled: bool = False,
-    rng_seed: int = 0,
+    rng_seed: Union[int, Sequence[int]] = 0,
     grads: Optional[ModelParameters] = None,
     workspace: Optional[Workspace] = None,
-) -> tuple[float, ModelParameters]:
+) -> tuple[Union[float, list[float]], ModelParameters]:
     """Loss (mean squared error over the three heads) and its exact gradient
-    for every parameter tensor. Re-runs the forward pass internally, so the
-    dropout seed must match the paired forward when dropout is enabled.
+    for every parameter tensor, of one example or of a chunk, given as for
+    ``forward``, with a ``target`` of shape (3,) or (examples, 3). Runs the
+    forward pass once, into the workspace, and reads each example's rows
+    back from its slots; with dropout, each example's seed must be that of
+    the paired forward.
 
     The gradient is added into ``grads``, which is returned; it defaults to a
-    fresh ``params.zeros_like()``. One accumulator can thus sum a whole batch,
-    and embedding rows no token of the example hits are left untouched.
-    ``workspace`` holds the pass's arrays, as for ``forward``."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (3,):
-        raise ShapeMismatch(f"target must have shape (3,), got {target.shape}")
+    fresh ``params.zeros_like()``. A chunk's gradient is each example's, one
+    after the other, added in order: every tensor gets the same adds as one
+    call per example would make, so one accumulator can sum a whole batch,
+    and embedding rows no token of the chunk hits are left untouched. The
+    loss is a float, or a list of one per example of the chunk."""
+    one = isinstance(seq1, np.ndarray)
+    count = 1 if one else len(seq1)
+    targets = np.asarray(target, dtype=np.float64)
+    if targets.shape != ((3,) if one else (count, 3)):
+        raise ShapeMismatch(f"target must have shape {(3,) if one else (count, 3)}, "
+                            f"got {targets.shape}")
     ws = Workspace(config) if workspace is None else workspace
-    trace, masks = _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)
+    trace, masks, rows1, rows2 = _forward_internal(params, config, seq1, seq2, dropout_enabled,
+                                                   rng_seed, ws, keep=True)
     if grads is None:
         grads = params.zeros_like()
-    diff = trace.outputs - target
-    loss = float(np.mean(diff ** 2))
+    diff = ws.rows("outputs", count) - targets.reshape(count, 3)
+    losses = np.mean(diff ** 2, axis=1).tolist()
     douts = 2.0 * diff / 3.0
 
-    pooled = trace.pooled
-    n1, d = seq1.shape[0], pooled.shape[0]
-    dpooled = ws.dpooled
-    dpooled.fill(0.0)
+    pooled, d = ws.rows("pooled", count), config.model_dim
     vec = ws.column[:d]
-    for i, head in enumerate(HEAD_NAMES):
-        grads[f"head.{head}.w"] += np.multiply(douts[i], pooled, out=vec)
-        grads[f"head.{head}.b"] += douts[i]
-        dpooled += np.multiply(douts[i], params[f"head.{head}.w"], out=vec)
-
+    for i in range(count):
+        for m, head in enumerate(HEAD_NAMES):
+            grads[f"head.{head}.w"] += np.multiply(douts[i, m], pooled[i], out=vec)
+            grads[f"head.{head}.b"] += douts[i, m]
+    dpooled = ws.rows("dpooled", count)
+    dpooled.fill(0.0)
+    term = ws.scratch[: count * d].reshape(count, d)
+    for m, head in enumerate(HEAD_NAMES):
+        dpooled += np.multiply(douts[:, m : m + 1], params[f"head.{head}.w"], out=term)
+    lengths = np.array([r.stop - r.start for r in rows1], dtype=np.float64)
+    np.divide(dpooled, lengths[:, None], out=dpooled)  # each row pools at 1/n
+    n1 = rows1[-1].stop
     denc1 = ws.rows("denc1", n1)
-    denc1[...] = np.divide(dpooled, n1, out=vec)  # each row pools at 1/n
+    for i, r in enumerate(rows1):
+        denc1[r] = dpooled[i]
     if trace.enc2_states is not None:
+        pairs = [(r1, r2) for r1, r2 in zip(rows1, rows2) if r2.stop > r2.start]
         dcross = _dropped(denc1, masks, -1, ws)
         dxq, dxkv = _attention_backward(params, "cross", trace.enc1_states, trace.enc2_states,
-                                        config.num_cross_heads, dcross, grads, ws)
-        denc1 += dxq
+                                        pairs, config.num_cross_heads, dcross, grads, ws)
+        for r1, _ in pairs:  # dxq's rows of an example without context are not its own
+            denc1[r1] += dxq[r1]
         enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
-        _encoder_backward(params, "enc2", seq2, config, enc2_masks, dxkv, grads, ws)
-    _encoder_backward(params, "enc1", seq1, config, masks, denc1, grads, ws)
-    return loss, grads
+        ids2 = seq2 if one else np.concatenate(seq2)
+        _encoder_backward(params, "enc2", ids2, [r2 for _, r2 in pairs], config, enc2_masks,
+                          dxkv, grads, ws)
+    ids1 = seq1 if one else np.concatenate(seq1)
+    _encoder_backward(params, "enc1", ids1, rows1, config, masks, denc1, grads, ws)
+    return (losses[0] if one else losses), grads

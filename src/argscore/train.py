@@ -14,12 +14,14 @@ from argscore import evaluation
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import ArgumentRecord, Dataset
 from argscore.model import (
+    CHUNK_SEQUENCES,
     EncodedExample,
     ModelConfig,
     ModelParameters,
     Vocabulary,
     Workspace,
     backward,
+    chunks,
     encode_input,
     forward,
 )
@@ -191,26 +193,32 @@ def train(
     encoded before the first step under each that ``tcfg.gamma`` can draw:
     with gamma 1 only ``active_kinds``, with gamma 0 only ``active_kinds``
     without similar-quality. Training runs on compact parameters: each
-    ``*.tok_emb`` table cut to the rows those encodings use (ids renumbered to
-    match; ``forward`` and ``backward`` index by id) and every other tensor
-    whole. The weights, gradients, best snapshot and Adam moments take that
-    layout. It is exact: an unused row has a zero gradient at every step, so
-    Adam leaves it unchanged, and ``clip_gradients`` sums a cut table's
-    squares as the full table's. One full-size copy of ``params`` takes the
-    compact weights for each dev evaluation and the best at the end.
+    ``*.tok_emb`` table cut to the rows that those encodings and the dev
+    split's use (ids renumbered to match; ``forward`` and ``backward`` index
+    by id) and every other tensor whole. The weights, gradients, best
+    snapshot and Adam moments take that layout, and dev is scored on the
+    compact weights. It is exact: a row that no train encoding uses has a
+    zero gradient at every step, so Adam leaves it unchanged, and
+    ``clip_gradients`` sums a cut table's squares as the full table's. The
+    one full-size copy of ``params`` is made at the end, once the run's
+    workspace and gradients are released, and takes the best weights.
 
-    Each visit re-masks similar-quality, runs the example with dropout in the
-    run's one ``Workspace`` and adds its gradient into the accumulator;
-    ``truncated_tokens`` count every visit. Each batch's sum is averaged,
-    clipped and applied by one Adam step, at a rate falling linearly from
-    ``tcfg.learning_rate`` to zero over the run's ``epochs * ceil(n_train /
-    batch_size)`` steps. ``NonFiniteLoss`` stops training on an example loss
-    that is non-finite or above ``LOSS_CEILING``, a non-finite pre-clip
-    gradient norm, or a non-finite parameter after an update (at the first,
-    any of ``params``). With no dev split (or zero epochs) the final
-    parameters are returned."""
+    Each visit re-masks similar-quality, in visit order, and
+    ``truncated_tokens`` count every visit. A batch's visits run in chunks
+    (``network.chunks``) that fit the run's one ``Workspace`` of
+    ``CHUNK_SEQUENCES * max_seq_len`` rows, one ``backward`` per chunk with
+    each example's own dropout seed; each example's gradient is added into
+    the accumulator in visit order, so the sum is that of one call per
+    example. Each batch's sum is averaged, clipped and applied by one Adam
+    step, at a rate falling linearly from ``tcfg.learning_rate`` to zero over
+    the run's ``epochs * ceil(n_train / batch_size)`` steps. ``NonFiniteLoss``
+    stops training on the first example, in visit order, whose loss is
+    non-finite or above ``LOSS_CEILING``, on a non-finite pre-clip gradient
+    norm, or on a non-finite parameter after an update (at the first, any of
+    ``params``). With no dev split (or zero epochs) the final parameters are
+    returned."""
     train_recs, dev_recs = check_splits(dataset)
-    targets = {r.id: np.array(r.labels.normalized()) for r in train_recs}
+    target_rows = np.array([r.labels.normalized() for r in train_recs])
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")
     state = TrainState()
@@ -224,34 +232,32 @@ def train(
     dev_encoded = [encode_input(rec, augmentations.get(rec.id), vocab, config, tcfg.active_kinds)
                    for rec in dev_recs]
 
-    cut = {name: slice(None) for name in params.shapes}  # the rows that training changes
+    cut = {name: slice(None) for name in params.shapes}  # the rows of the compact tensors
     tables, renumber = {}, {}  # renumber: seq1 or seq2 -> the compact row of each full id
+    every = [*encoded.values(), *dev_encoded]
     for table, seq in (("enc1.tok_emb", "seq1"), ("enc2.tok_emb", "seq2")):
         hit = np.zeros(config.vocab_size, dtype=bool)
-        hit[np.concatenate([getattr(enc, seq) for enc in encoded.values()])] = True
+        hit[np.concatenate([getattr(enc, seq) for enc in every])] = True
         renumber[seq] = np.cumsum(hit) - 1  # np.unique would import numpy.ma
         if table in cut:
             cut[table] = tables[table] = np.flatnonzero(hit)
-    encoded = {key: EncodedExample(renumber["seq1"][enc.seq1], renumber["seq2"][enc.seq2],
-                                   enc.truncated_tokens) for key, enc in encoded.items()}
+
+    def compact(enc: EncodedExample) -> EncodedExample:
+        return EncodedExample(renumber["seq1"][enc.seq1], renumber["seq2"][enc.seq2],
+                              enc.truncated_tokens)
+
+    encoded = {key: compact(enc) for key, enc in encoded.items()}
+    dev_encoded = [compact(enc) for enc in dev_encoded]
     tensors = [params[name][rows] for name, rows in cut.items()]
     weights = ModelParameters(np.concatenate([t.ravel() for t in tensors]),
                               {name: t.shape for name, t in zip(cut, tensors)})
+    del tensors  # the tables' rows, copied into weights
     grads = weights.zeros_like()
     best = weights.zeros_like()
     scratch = np.zeros((config.vocab_size, config.model_dim))  # for clip_gradients
     optimizer = AdamOptimizer(weights, tcfg)
-    full = params.copy()
     input_finite = bool(np.isfinite(params.flat).all())
-    # after the run's long-lived arrays, where the per-example arrays it replaces
-    # were made: made before `full`, its slots split the freed heap block that
-    # `full` reuses, and train-default's peak RSS rose by about 7 MB
-    workspace = Workspace(config)
-
-    def scattered(source: ModelParameters) -> ModelParameters:
-        for name, rows in cut.items():
-            full[name][rows] = source[name]
-        return full
+    workspace = Workspace(config, CHUNK_SEQUENCES * config.max_seq_len)
 
     best_score = -np.inf
     total_steps = tcfg.epochs * math.ceil(len(train_recs) / tcfg.batch_size)
@@ -266,25 +272,29 @@ def train(
         perm = shuffle_rng.permutation(len(train_recs))
         epoch_losses = []
         for start in range(0, len(perm), tcfg.batch_size):
-            chunk = perm[start : start + tcfg.batch_size]
+            batch = perm[start : start + tcfg.batch_size].tolist()
             lr = learning_rate_at(tcfg.learning_rate, state.step, total_steps)
             grads.flat.fill(0.0)
-            for j in chunk.tolist():
-                rec = train_recs[j]
-                enc = encoded[j, apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)]
-                state.truncated_tokens += enc.truncated_tokens
-                example_loss, grads = backward(
-                    weights, config, enc.seq1, enc.seq2, targets[rec.id],
-                    dropout_enabled=dropout_on,
-                    rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
+            visits = [encoded[j, apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)]
+                      for j in batch]
+            for run in chunks(visits, workspace.capacity):
+                indices, chunk = batch[run], visits[run]
+                losses, grads = backward(
+                    weights, config, [enc.seq1 for enc in chunk], [enc.seq2 for enc in chunk],
+                    target_rows[indices], dropout_enabled=dropout_on,
+                    rng_seed=[derive_seed(tcfg.rng_seed, 3, epoch, j) for j in indices],
                     grads=grads, workspace=workspace,
                 )
-                if not math.isfinite(example_loss):
-                    raise diverged("non-finite loss", record_id=rec.id, loss=example_loss)
-                if example_loss > LOSS_CEILING:
-                    raise diverged("loss above ceiling", record_id=rec.id, loss=example_loss)
-                epoch_losses.append(example_loss)
-            grads.flat *= 1.0 / len(chunk)
+                for j, enc, example_loss in zip(indices, chunk, losses):
+                    state.truncated_tokens += enc.truncated_tokens
+                    if not math.isfinite(example_loss):
+                        raise diverged("non-finite loss", record_id=train_recs[j].id,
+                                       loss=example_loss)
+                    if example_loss > LOSS_CEILING:
+                        raise diverged("loss above ceiling", record_id=train_recs[j].id,
+                                       loss=example_loss)
+                    epoch_losses.append(example_loss)
+            grads.flat *= 1.0 / len(batch)
             grad_norm = clip_gradients(grads, tcfg.grad_clip_norm, tables, scratch)
             if not math.isfinite(grad_norm):
                 raise diverged("non-finite gradient norm", grad_norm=grad_norm)
@@ -295,7 +305,7 @@ def train(
         state.loss_history.append(float(np.mean(epoch_losses)))
         state.epochs_run = epoch + 1
         if dev_recs:
-            raw = evaluation.predict(scattered(weights), config, dev_encoded, workspace)
+            raw = evaluation.predict(weights, config, dev_encoded, workspace)
             mean = evaluation.score(dev_recs, raw, dataset.name, "dev", config.mode,
                                     tcfg.active_kinds).mean_spearman()
             dev_score = 0.0 if mean is None else mean
@@ -307,8 +317,14 @@ def train(
 
     if state.best_epoch < 0:  # no dev split, or no epoch: the final parameters
         state.best_epoch = state.epochs_run - 1
-        return scattered(weights), state, optimizer
-    return scattered(best), state, optimizer
+        best = weights
+    # made last: made before the run's working arrays, the full-size copy
+    # stays resident beside them and train-default's peak RSS rises
+    del workspace, grads, scratch
+    full = params.copy()
+    for name, rows in cut.items():
+        full[name][rows] = best[name]
+    return full, state, optimizer
 
 
 @dataclass

@@ -41,8 +41,10 @@ def test_gelu_matches_power_form():
 def test_gelu_grad_matches_power_form():
     x = _gelu_inputs()
     dy = np.random.default_rng(1).normal(size=x.shape)
+    tanh = np.empty_like(x)
+    kernels.gelu(x, tanh=tanh)
     np.testing.assert_allclose(
-        kernels.gelu_grad(dy, x), _reference_gelu_grad(dy, x),
+        kernels.gelu_grad(dy, x, tanh), _reference_gelu_grad(dy, x),
         rtol=1e-14, atol=1e-15,
     )
 
@@ -138,22 +140,19 @@ def _plain_layer_norm_grad(dy, gamma, xhat, rstd):
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * rstd[:, None]
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    return dx, dgamma, dbeta
+    return (dxhat - m1 - xhat * m2) * rstd[:, None]
+
+
+def _plain_tanh(x):
+    return np.tanh(_C * (x + _A * (x * x * x)))
 
 
 def _plain_gelu(x):
-    inner = _C * (x + _A * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    return 0.5 * x * (1.0 + _plain_tanh(x))
 
 
-def _plain_gelu_grad(dy, x):
-    x2 = x * x
-    inner = _C * (x + _A * (x2 * x))
-    t = np.tanh(inner)
-    dinner = _C * (1.0 + 3.0 * _A * x2)
+def _plain_gelu_grad(dy, x, t):
+    dinner = _C * (1.0 + 3.0 * _A * (x * x))
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
 
@@ -176,7 +175,7 @@ def _kernel_cases(rows, width):
         (kernels.layer_norm, _plain_layer_norm, (x, gamma, beta, 1e-5)),
         (kernels.layer_norm_grad, _plain_layer_norm_grad, (dy, gamma, xhat, rstd)),
         (kernels.gelu, _plain_gelu, (x,)),
-        (kernels.gelu_grad, _plain_gelu_grad, (dy, x)),
+        (kernels.gelu_grad, _plain_gelu_grad, (dy, x, _plain_tanh(x))),
     ]
 
 
@@ -222,3 +221,20 @@ def test_kernels_leave_their_arguments_unchanged(rows):
             for r in result:  # no result is a view of an argument
                 assert not any(np.shares_memory(r, a) for a in args
                                if isinstance(a, np.ndarray)), kernel.__name__
+
+
+@pytest.mark.parametrize("rows", [1, 49])
+@pytest.mark.parametrize("width", [8, 128])
+def test_gelu_writes_the_tanh_of_its_plain_expression(rows, width):
+    """``gelu``'s ``tanh=`` array, allocating and with ``out``/``scratch``:
+    the result is unchanged, ``x`` is left as it was, and the array holds
+    the tanh that ``gelu_grad`` reads, bitwise."""
+    x = _mixed(np.random.default_rng(rows * 1000 + width), (rows, width))
+    before = x.copy()
+    for kwargs in ({}, _buffers(kernels.gelu, (_plain_gelu(x),))):
+        tanh = np.full(2 * x.size, np.nan)[: x.size].reshape(x.shape)
+        got = kernels.gelu(x, tanh=tanh, **kwargs)
+        assert np.array_equal(got, _plain_gelu(x))
+        assert np.array_equal(tanh, _plain_tanh(x))
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(got, tanh) and not np.shares_memory(tanh, x)

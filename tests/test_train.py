@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,6 +318,29 @@ class TestCompactTraining:
         diagnostics = err.value.diagnostics
         assert (diagnostics["reason"], diagnostics["epoch"], diagnostics["step"]) == (
             "non-finite parameter", 0, 0)
+
+    def test_a_dev_only_token_keeps_its_row(self):
+        """Dev scoring runs on the compact weights, so a token that only dev
+        records use has a row there: its gradient and Adam moments stay zero,
+        and it comes back with the bytes it went in with."""
+        ds, _, _, aug = _unused_rows_case()
+        records = [replace(r, topic=f"lighthouse {r.topic}") if ds.split_assignment[r.id] == "dev"
+                   else r for r in ds.records]
+        ds = Dataset(records=records, split_assignment=ds.split_assignment, name=ds.name)
+        vocab = build_vocab([t for r in ds.records for t in (r.topic, r.argument)]
+                            + ["keep this maybe and too"], 200)
+        config = _memo_config(vocab)
+        row = vocab.token_to_id["lighthouse"]
+        assert row not in _used_rows(ds, vocab, config)["enc1.tok_emb"]
+        params = init_parameters(config, 1)
+        best, state, optimizer = train(params, config, self.TCFG, ds, aug, vocab)
+        dense, losses, dev_scores = _dense_train(params, config, self.TCFG, ds, aug, vocab)
+        assert (state.loss_history, state.dev_spearman_history) == (losses, dev_scores)
+        assert best.flat.tobytes() == dense.flat.tobytes()
+        assert best["enc1.tok_emb"][row].tobytes() == params["enc1.tok_emb"][row].tobytes()
+        used = sum(len(rows) for rows in _used_rows(ds, vocab, config).values())
+        compact = params.flat.size - (2 * config.vocab_size - used - 1) * config.model_dim
+        assert optimizer.m.size == compact
 
     def test_peak_memory_is_about_one_model_when_tables_dominate(self):
         """With the tables at 95% of the model and few of their rows used, one

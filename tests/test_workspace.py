@@ -1,21 +1,23 @@
 """A reused ``Workspace`` gives the bytes of a fresh one, also after a packed
-chunk, a chunk's examples are checked one by one, and a warm pass allocates
-almost nothing."""
+chunk, a packed pass gives each example's bytes of a pass over it alone, a
+chunk's examples are checked one by one, and a warm pass allocates almost
+nothing."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from argscore.model import (ModelConfig, ShapeMismatch, Workspace, backward, forward,
+from argscore.model import (ModelConfig, ShapeMismatch, Workspace, backward, chunks, forward,
                             init_parameters)
 from tests.conftest import small_config
 
 
-def _poisoned(config) -> Workspace:
+def _poisoned(config, rows=None) -> Workspace:
     """A workspace whose every array is NaN: a value read before it is
     written makes a result NaN."""
-    workspace = Workspace(config)
+    workspace = Workspace(config, rows)
     for value in vars(workspace).values():
         for array in value.values() if isinstance(value, dict) else [value]:
             array.fill(np.nan)
@@ -85,13 +87,64 @@ def test_backward_after_a_packed_chunk_gives_the_bytes_of_a_fresh_workspace(drop
     assert reused_grads.flat.tobytes() == grads.flat.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["dual", "single"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_a_packed_pass_gives_each_example_the_bytes_of_its_pass_alone(mode, dropout):
+    """``chunks`` packs the examples as training does: several to a chunk,
+    one without context among them, a one-row sequence alone and a chunk at
+    capacity. Each chunk's forward outputs are each example's alone, its
+    losses each example's, and its gradient the bytes of one call per
+    example added in order, from a workspace whose unwritten values are NaN.
+    At model_dim 32 a chunk's products are large enough that OpenBLAS
+    computes a product with a transposed operand otherwise than over one
+    example's rows alone."""
+    config = small_config(mode=mode, num_layers=2, dropout_rate=dropout, model_dim=32,
+                          ffn_dim=64)
+    params = init_parameters(config, seed=3)
+    rng = np.random.default_rng(8)
+    L = config.max_seq_len
+    lengths = [(L, L), (5, 0), (L - 2, 7), (1, 3), (4, 1), (L, L), (L, L), (L, L), (L, L),
+               (L - 1, L), (2, 2)]
+    if mode == "single":
+        lengths = [(n1, 0) for n1, _ in lengths[:4] + lengths[5:]]
+    examples = [SimpleNamespace(seq1=rng.integers(0, config.vocab_size, n1),
+                                seq2=rng.integers(0, config.vocab_size, n2))
+                for n1, n2 in lengths]
+    targets = rng.random((len(examples), 3))
+    seeds = list(range(20, 20 + len(examples)))
+    workspace = _poisoned(config, 4 * L)
+    runs = list(chunks(examples, workspace.capacity))
+    sizes = [sum(len(e.seq1) for e in examples[run]) for run in runs]
+    assert max(run.stop - run.start for run in runs) >= 3 and workspace.capacity in sizes
+    assert slice(3, 4) in runs  # the one-row sequence
+    run_kw = dict(dropout_enabled=dropout > 0.0)
+    packed, alone = params.zeros_like(), params.zeros_like()
+    for run in runs:
+        seqs1, seqs2 = [e.seq1 for e in examples[run]], [e.seq2 for e in examples[run]]
+        outputs = forward(params, config, seqs1, seqs2, **run_kw, rng_seed=seeds[run],
+                          workspace=workspace).outputs.copy()
+        losses, packed = backward(params, config, seqs1, seqs2, targets[run], **run_kw,
+                                  rng_seed=seeds[run], grads=packed, workspace=workspace)
+        for i, (seq1, seq2, target, seed) in enumerate(zip(seqs1, seqs2, targets[run],
+                                                           seeds[run])):
+            out = forward(params, config, seq1, seq2, **run_kw, rng_seed=seed).outputs
+            assert out.tobytes() == outputs[i].tobytes(), (run, i)
+            loss, alone = backward(params, config, seq1, seq2, target, **run_kw, rng_seed=seed,
+                                   grads=alone)
+            assert loss == losses[i], (run, i)
+        assert np.isfinite(packed.flat).all(), run
+        assert packed.flat.tobytes() == alone.flat.tobytes(), run
+
+
 def test_a_chunk_is_checked_example_by_example():
     config = small_config(dropout_rate=0.1)
     params = init_parameters(config, seed=0)
     workspace = Workspace(config, 4 * config.max_seq_len)
     ok = np.arange(5)
-    with pytest.raises(ValueError, match="dropout runs one example at a time"):
-        forward(params, config, [ok, ok], [ok, ok], dropout_enabled=True, workspace=workspace)
+    for seeds in (0, [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="a chunk of 2 examples needs a seed per example"):
+            forward(params, config, [ok, ok], [ok, ok], dropout_enabled=True, rng_seed=seeds,
+                    workspace=workspace)
     too_long = np.arange(config.max_seq_len + 1)
     for seqs1, seqs2, message in [
         ([ok, ok[:0], ok], [ok, ok, ok], "example 1: seq1 must not be empty"),
