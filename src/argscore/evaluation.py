@@ -3,14 +3,7 @@ labels, per-metric report rows, and the ablation table. A split is encoded
 once; ``predict`` returns every encoding's head outputs and ``score``
 correlates them with the records' gold. ``evaluate`` does all three in one
 call; ``train`` encodes its dev split once and predicts and scores it after
-each epoch.
-
-``predict`` packs consecutive encodings into chunks (``network.chunks``), one
-``network.forward`` each, as many as fit its workspace's rows: by default
-``network.CHUNK_SEQUENCES`` max-length sequences of each encoder, so that
-per-call overhead is paid once per chunk. Each record's outputs stay bitwise
-those of a pass over it alone. ``train`` passes the workspace that its
-training chunks use, of that default size."""
+each epoch."""
 
 from __future__ import annotations
 
@@ -115,19 +108,10 @@ def augs_label(active_kinds: Iterable[AugmentationKind]) -> str:
 def predict(params: ModelParameters, config: ModelConfig,
             encoded: Sequence[encoding.EncodedExample],
             workspace: Optional[network.Workspace] = None) -> np.ndarray:
-    """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout:
-    one forward pass per chunk of consecutive encodings that fits
-    ``workspace``, by default a new one of ``network.CHUNK_SEQUENCES *
-    max_seq_len`` rows. Each row is bitwise that of a forward pass of its
-    encoding alone."""
-    raw = np.empty((len(encoded), 3))
-    if workspace is None:
-        workspace = network.Workspace(config, network.CHUNK_SEQUENCES * config.max_seq_len)
-    for run in network.chunks(encoded, workspace.capacity):
-        chunk = encoded[run]
-        raw[run] = network.forward(params, config, [enc.seq1 for enc in chunk],
-                                   [enc.seq2 for enc in chunk], workspace=workspace).outputs
-    return raw
+    """The ``(n, 3)`` unclamped head outputs of ``n`` encodings, no dropout,
+    from one ``network.forward`` call. Each row is bitwise that of a forward
+    pass of its encoding alone."""
+    return network.forward(params, config, encoded, workspace=workspace)
 
 
 def score(records: Sequence[ArgumentRecord], raw: np.ndarray, dataset: str, split: str,

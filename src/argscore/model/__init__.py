@@ -4,14 +4,11 @@ from argscore.model.checkpoint import CheckpointError, load_checkpoint, save_che
 from argscore.model.config import ModelConfig
 from argscore.model.encoding import EncodedExample, encode_input
 from argscore.model.network import (
-    CHUNK_SEQUENCES,
     HEAD_NAMES,
-    ForwardTrace,
     ModelParameters,
     ShapeMismatch,
     Workspace,
     backward,
-    chunks,
     forward,
     init_parameters,
     parameter_shapes,
@@ -29,12 +26,10 @@ from argscore.model.vocab import (
 )
 
 __all__ = [
-    "CHUNK_SEQUENCES",
     "CLS_ID",
     "CheckpointError",
     "EncodedExample",
     "EmptyCorpus",
-    "ForwardTrace",
     "HEAD_NAMES",
     "MARKER_IDS",
     "ModelConfig",
@@ -47,7 +42,6 @@ __all__ = [
     "Workspace",
     "backward",
     "build_vocab",
-    "chunks",
     "encode_input",
     "forward",
     "init_parameters",

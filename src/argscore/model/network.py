@@ -24,17 +24,19 @@ its layer ``l``'s attention mask at ``1 + 2l`` and FFN mask at ``2 + 2l``;
 encoder 1's block first, then encoder 2's (from ``1 + 2 * num_layers``), then
 cross-attention's last. An example without context draws encoder 1's alone.
 
-A forward pass runs one example or a chunk of them. A chunk's sequences are
-stacked: its seq1 ids back to back, example 0's rows first, and likewise its
-seq2 ids, where an example without context owns no rows. Every position-wise
-operation runs once over the stacked rows: the embedding gather and positions,
-dropout, each layer norm, the attention projections, the FFN and GELU.
-Self-attention, cross-attention (an example's first-encoder rows onto its own
-context rows), pooling and the heads loop over the examples, so no example
-sees another's rows, and each example's outputs are bitwise those of a pass
-over it alone. numpy computes a one-row product by ``gemv``, though, which
-rounds differently from the rows of a ``gemm``, so a one-row sequence keeps
-that only in a chunk of its own; ``chunks`` packs it alone.
+``forward`` and ``backward`` take a list of examples, each with a ``seq1``
+and a ``seq2``, and run it in chunks: ``chunks`` packs consecutive examples
+while their seq1s, and their seq2s, fit the workspace's rows. A chunk's
+sequences are stacked: its seq1 ids back to back, example 0's rows first, and
+likewise its seq2 ids, where an example without context owns no rows. Every
+position-wise operation runs once over the stacked rows: the embedding gather
+and positions, dropout, each layer norm, the attention projections, the FFN
+and GELU. Self-attention, cross-attention (an example's first-encoder rows
+onto its own context rows), pooling and the heads loop over the examples, so
+no example sees another's rows, and each example's outputs are bitwise those
+of a pass over it alone. numpy computes a one-row product by ``gemv``,
+though, which rounds differently from the rows of a ``gemm``, so a one-row
+sequence keeps that only in a chunk of its own; ``chunks`` packs it alone.
 
 ``backward`` runs a chunk's forward pass once and then its gradient, reading
 each example's rows back from the workspace. Position-wise work runs once over
@@ -51,23 +53,21 @@ otherwise than a product over them alone.
 A ``Workspace`` holds every array that the forward and backward passes
 write: the dropout draws and masks, each layer's activations, attention
 scores and probabilities, the FFN and GELU temporaries, and the backward
-deltas. A row slot has the workspace's row capacity, at least
-``max_seq_len``; a slot of one example's attention core is sized for one
-example. Each is used through contiguous views. A slot named after a part of
-the model (``enc1.layer0.ln2.xhat``, ``enc1.layer0.tanh``, ``cross.probs``) is
-the one record of that part's forward pass, which ``backward`` reads back.
-The attention probabilities of every example stay there, one after the
-other, when ``backward`` runs the pass; after ``forward`` they hold the
+deltas. A row slot has ``CHUNK_SEQUENCES * max_seq_len`` rows; a slot of one
+example's attention core is sized for one example. Each is used through
+contiguous views. A slot named after a part of the model
+(``enc1.layer0.ln2.xhat``, ``enc1.layer0.tanh``, ``cross.probs``) is the one
+record of that part's forward pass, which ``backward`` reads back. The
+attention probabilities of every example stay there, one after the other,
+when ``backward`` runs the pass; after ``forward`` they hold the last
 chunk's last example that ran that attention. ``forward`` and ``backward``
 make a fresh workspace unless they are given one; ``train`` keeps one for
-its run, chunks and dev scoring alike, and ``evaluation.predict`` one per
-split, so a run of examples allocates none of these arrays per example. What
-is still allocated per call is small: the kernels' row statistics, the
-chunk's ids and positions, and numpy's own iterator buffers.
-Results go there through ``out=`` into contiguous arrays of the shapes the
-plain expressions would allocate, which keeps their BLAS calls, their
-reduction order and every output byte. A ``ForwardTrace``'s arrays are views
-of the workspace's slots: they alias it, and hold until its next use.
+its run, batches and dev scoring alike, so a run of examples allocates none
+of these arrays per example. What is still allocated per call is small: the
+kernels' row statistics, the chunk's ids and positions, and numpy's own
+iterator buffers. Results go there through ``out=`` into contiguous arrays
+of the shapes the plain expressions would allocate, which keeps their BLAS
+calls, their reduction order and every output byte.
 
 Everything is float64. Encoders are pre-norm transformer blocks with learned
 absolute positional embeddings and a GELU feed-forward.
@@ -76,8 +76,7 @@ absolute positional embeddings and a GELU feed-forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -118,28 +117,6 @@ class ModelParameters(dict):
 
     def zeros_like(self) -> "ModelParameters":
         return ModelParameters(np.zeros_like(self.flat), self.shapes)
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate quantities exposed for inspection and tests. Each array is
-    a view of a slot of the pass's workspace (``enc1.final_ln.y``,
-    ``enc1.layer0.attn.probs``, ``cross.probs``, ...), not a copy: it aliases
-    the workspace and holds until that is used again.
-
-    For a chunk, ``enc1_states`` and ``enc2_states`` are its stacked rows
-    (example ``i`` owns those after examples ``0`` to ``i - 1``), ``pooled``
-    and ``outputs`` have a row per example, and the attention probabilities
-    are those of the chunk's last example (for ``enc2_self_attn`` and
-    ``cross_attn``, its last example with context)."""
-
-    enc1_states: np.ndarray
-    enc2_states: Optional[np.ndarray]
-    enc1_self_attn: list[np.ndarray]
-    enc2_self_attn: list[np.ndarray]
-    cross_attn: Optional[np.ndarray]
-    pooled: np.ndarray
-    outputs: np.ndarray
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -195,8 +172,8 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
     return params
 
 
-# a workspace's default rows, as a multiple of max_seq_len, for a caller that
-# packs chunks: 128 and 512 rows scored no faster than 256 at max_seq_len 64
+# a workspace's rows, as a multiple of max_seq_len: 128 and 512 rows scored
+# no faster than 256 at max_seq_len 64
 CHUNK_SEQUENCES = 4
 
 
@@ -204,17 +181,17 @@ class Workspace:
     """Every array that ``forward`` and ``backward`` write, made once for
     ``config`` and reused by every pass (see the module docstring).
 
-    Each array is a named slot. A row slot has ``rows`` rows (``max_seq_len``
-    by default, and never fewer), its ``capacity``. In a chunk, example ``i``
-    owns the rows of an encoder's slots that follow those of examples ``0``
-    to ``i - 1``, and row ``i`` of ``pooled`` and ``outputs``.
+    Each array is a named slot. A row slot has ``CHUNK_SEQUENCES *
+    max_seq_len`` rows, its ``capacity``. In a chunk, example ``i`` owns the
+    rows of an encoder's slots that follow those of examples ``0`` to
+    ``i - 1``, and row ``i`` of ``pooled`` and ``outputs``.
     ``rows(name, n)`` is a slot's first ``n`` rows. A head slot is flat:
     ``heads(name, h, n, k, offset)`` is its ``h * n * k`` elements from
     ``offset`` on as a contiguous (h, n, k) array. A slot named after a layer
     norm, FFN or attention (``enc1.layer0.ln1.xhat``, ``enc1.layer0.tanh``,
     ``cross.probs``) is the one record of that part's forward pass over the
     chunk, and ``backward`` reads it from there. An attention's ``probs``
-    hold room for ``rows * max_seq_len`` per head: each example's
+    hold room for ``capacity * max_seq_len`` per head: each example's
     probabilities, back to back, when ``backward`` runs the pass, and the
     last example's after ``forward``. The other slots hold temporaries that
     each part reuses in turn; those of one example's attention core are
@@ -222,11 +199,9 @@ class Workspace:
     ``masks`` the chunk's masks, read by index in the order the module
     docstring states."""
 
-    def __init__(self, config: ModelConfig, rows: Optional[int] = None):
+    def __init__(self, config: ModelConfig):
         L, d, f = config.max_seq_len, config.model_dim, config.ffn_dim
-        R = L if rows is None else rows
-        if R < L:
-            raise ValueError(f"a workspace needs at least max_seq_len ({L}) rows, got {R}")
+        R = CHUNK_SEQUENCES * L
         dual = config.mode == "dual"
         encoders = ("enc1", "enc2") if dual else ("enc1",)
         layers = [f"{enc}.layer{layer}" for enc in encoders for layer in range(config.num_layers)]
@@ -525,47 +500,44 @@ def _encoder_backward(p, enc, ids, rows, config, masks, dout, grads, ws):
         positions[: r.stop - r.start] += dx[r]
 
 
-def _check_inputs(config, seqs1, seqs2, capacity):
-    """Each example's slice of the chunk's seq1 rows and of its seq2 rows,
-    once every example has passed the checks; an error names the example."""
-    if not seqs1 or len(seqs1) != len(seqs2):
-        raise ShapeMismatch(f"a chunk needs as many seq2s as seq1s, and at least one: "
-                            f"got {len(seqs1)} and {len(seqs2)}")
-    rows1, rows2 = [], []
-    end1 = end2 = 0
-    for i, (seq1, seq2) in enumerate(zip(seqs1, seqs2)):
-        for name, seq in (("seq1", seq1), ("seq2", seq2)):
+def _check_examples(config, examples, seeds):
+    """Raises on the first example, by index, that the passes cannot run,
+    and unless ``seeds`` is None or holds a seed per example."""
+    if seeds is not None and (np.ndim(seeds) != 1 or len(seeds) != len(examples)):
+        raise ValueError(f"{len(examples)} examples need a seed per example, got {seeds!r}")
+    for i, example in enumerate(examples):
+        for name in ("seq1", "seq2"):
+            seq = getattr(example, name)
             if seq.ndim != 1:
                 raise ShapeMismatch(f"example {i}: {name}: ids must be 1-d")
             if seq.shape[0] > config.max_seq_len:
                 raise ShapeMismatch(f"example {i}: {name}: length {seq.shape[0]} exceeds "
                                     f"max_seq_len {config.max_seq_len}")
-        if seq1.shape[0] == 0:
+        if example.seq1.shape[0] == 0:
             raise ShapeMismatch(f"example {i}: seq1 must not be empty")
-        if config.mode == "single" and seq2.shape[0] > 0:
+        if config.mode == "single" and example.seq2.shape[0] > 0:
             raise ShapeMismatch(f"example {i}: seq2 must be empty in single mode")
-        rows1.append(slice(end1, end1 + seq1.shape[0]))
-        rows2.append(slice(end2, end2 + seq2.shape[0]))
-        end1, end2 = rows1[-1].stop, rows2[-1].stop
-    if max(end1, end2) > capacity:
-        raise ShapeMismatch(f"the chunk's {end1} seq1 rows and {end2} seq2 rows do not both "
-                            f"fit the workspace's {capacity}")
-    return rows1, rows2
 
 
-def _draw_masks(config, rng_seeds, rows1, rows2, ws):
+def _stack(seqs):
+    """``seqs`` back to back, and the slice of those rows that each owns."""
+    rows, end = [], 0
+    for seq in seqs:
+        rows.append(slice(end, end + seq.shape[0]))
+        end += seq.shape[0]
+    return np.concatenate(seqs), rows
+
+
+def _draw_masks(config, seeds, rows1, rows2, ws):
     """The chunk's inverted-dropout masks, in the ``masks`` slot. Each example
     draws its block of ``(max_seq_len, model_dim)`` masks from its own seed,
     in one ``rng.random`` call that reads the stream exactly as one draw per
     mask would, and its masks' first rows go to the rows it owns."""
-    if np.ndim(rng_seeds) != 1 or len(rng_seeds) != len(rows1):
-        raise ValueError(f"a chunk of {len(rows1)} examples needs a seed per example, "
-                         f"got {rng_seeds!r}")
     per_encoder = 1 + 2 * config.num_layers
     dual = any(r2.stop > r2.start for r2 in rows2)
     masks = ws.rows("masks", 2 * per_encoder + 1 if dual else per_encoder)
     draws = ws.slots["draws"]
-    for seed, r1, r2 in zip(rng_seeds, rows1, rows2):
+    for seed, r1, r2 in zip(seeds, rows1, rows2):
         n1, n2 = r1.stop - r1.start, r2.stop - r2.start
         drawn = draws[: 2 * per_encoder + 1 if n2 else per_encoder]
         np.random.default_rng(seed).random(out=drawn)
@@ -579,22 +551,19 @@ def _draw_masks(config, rng_seeds, rows1, rows2, ws):
     return masks
 
 
-def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws, keep=False):
-    """The pass's trace, its dropout masks (the ``masks`` rows) or None, and
-    each example's slices of the seq1 and seq2 rows. ``seq1`` and ``seq2``
-    are one example's arrays, or a chunk's lists; ``keep`` keeps every
-    example's attention probabilities, for ``backward``."""
-    one = isinstance(seq1, np.ndarray)
-    seqs1, seqs2 = ([seq1], [seq2]) if one else (list(seq1), list(seq2))
-    rows1, rows2 = _check_inputs(config, seqs1, seqs2, ws.capacity)
-    ids1, ids2 = (seq1, seq2) if one else (np.concatenate(seqs1), np.concatenate(seqs2))
+def _forward_chunk(p, config, chunk, seeds, ws, keep=False):
+    """The pass over ``chunk``, a run of examples that ``chunks`` packed,
+    into the workspace, its outputs in the ``outputs`` rows. Returns its
+    dropout masks (the ``masks`` rows, or None without ``seeds``), and its
+    stacked seq1 ids and each example's slice of them, and likewise its seq2
+    ids. ``keep`` keeps every example's attention probabilities, for
+    ``backward``."""
+    ids1, rows1 = _stack([example.seq1 for example in chunk])
+    ids2, rows2 = _stack([example.seq2 for example in chunk])
     n1, n2 = ids1.shape[0], ids2.shape[0]
-    masks = None
-    if dropout_on:
-        masks = _draw_masks(config, [rng_seed] if one else rng_seed, rows1, rows2, ws)
+    masks = None if seeds is None else _draw_masks(config, seeds, rows1, rows2, ws)
     pairs = [(r1, r2) for r1, r2 in zip(rows1, rows2) if r2.stop > r2.start]
     fused = enc1_out = _encoder_forward(p, "enc1", ids1, rows1, config, masks, ws, keep)
-    enc2_out = None
     if n2:
         enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
         enc2_out = _encoder_forward(p, "enc2", ids2, [r2 for _, r2 in pairs], config,
@@ -604,7 +573,7 @@ def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws, keep=Fals
         if masks is not None:
             cross_out *= masks[-1][:n1]
         fused = np.add(enc1_out, cross_out, out=cross_out)
-    pooled, outputs = ws.rows("pooled", len(rows1)), ws.rows("outputs", len(rows1))
+    pooled, outputs = ws.rows("pooled", len(chunk)), ws.rows("outputs", len(chunk))
     for i, (r1, r2) in enumerate(zip(rows1, rows2)):
         # an example without context pools its first encoder's states alone
         row = np.add.reduce((fused if r2.stop > r2.start else enc1_out)[r1], axis=0,
@@ -612,90 +581,19 @@ def _forward_internal(p, config, seq1, seq2, dropout_on, rng_seed, ws, keep=Fals
         row /= r1.stop - r1.start
         for m, head in enumerate(HEAD_NAMES):
             outputs[i, m] = row @ p[f"head.{head}.w"] + p[f"head.{head}.b"][0]
-    h, layers = config.num_heads, range(config.num_layers)
-    selves1, selves2 = [(r1, r1) for r1 in rows1], [(r2, r2) for _, r2 in pairs]
-    trace = ForwardTrace(
-        enc1_states=enc1_out,
-        enc2_states=enc2_out,
-        enc1_self_attn=[_last_probs(ws, f"enc1.layer{i}.attn", h, selves1, keep)
-                        for i in layers],
-        enc2_self_attn=[_last_probs(ws, f"enc2.layer{i}.attn", h, selves2, keep)
-                        for i in layers if n2],
-        cross_attn=_last_probs(ws, "cross", config.num_cross_heads, pairs, keep) if n2 else None,
-        pooled=pooled[0] if one else pooled,
-        outputs=outputs[0] if one else outputs,
-    )
-    return trace, masks, rows1, rows2
+    return masks, ids1, rows1, ids2, rows2
 
 
-def _last_probs(ws, prefix, h, pairs, keep):
-    """The attention probabilities of the last of ``pairs``, the examples
-    that ran that attention, where ``_attention`` put them."""
-    *before, (q, k) = [(r.stop - r.start, s.stop - s.start) for r, s in pairs]
-    offset = sum(h * nq * nk for nq, nk in before) if keep else 0
-    return ws.heads(f"{prefix}.probs", h, q, k, offset)
-
-
-def forward(
-    params: ModelParameters,
-    config: ModelConfig,
-    seq1: Union[np.ndarray, Sequence[np.ndarray]],
-    seq2: Union[np.ndarray, Sequence[np.ndarray]],
-    dropout_enabled: bool = False,
-    rng_seed: Union[int, Sequence[int]] = 0,
-    workspace: Optional[Workspace] = None,
-) -> ForwardTrace:
-    """The pass over one example (``seq1`` and ``seq2`` arrays of ids, and
-    one ``rng_seed``), or over a chunk of them (lists of such arrays, one
-    pair per example, and with dropout a seed per example) whose seq1s, and
-    whose seq2s, fit the workspace's ``capacity`` rows in all. A chunk's
-    ``outputs`` is (examples, 3) and its ``pooled`` (examples, d). The
-    trace's arrays live in ``workspace`` (a fresh one of ``max_seq_len`` rows
-    by default), so with a shared workspace they hold until its next use."""
-    ws = Workspace(config) if workspace is None else workspace
-    return _forward_internal(params, config, seq1, seq2, dropout_enabled, rng_seed, ws)[0]
-
-
-def backward(
-    params: ModelParameters,
-    config: ModelConfig,
-    seq1: Union[np.ndarray, Sequence[np.ndarray]],
-    seq2: Union[np.ndarray, Sequence[np.ndarray]],
-    target: np.ndarray,
-    dropout_enabled: bool = False,
-    rng_seed: Union[int, Sequence[int]] = 0,
-    grads: Optional[ModelParameters] = None,
-    workspace: Optional[Workspace] = None,
-) -> tuple[Union[float, list[float]], ModelParameters]:
-    """Loss (mean squared error over the three heads) and its exact gradient
-    for every parameter tensor, of one example or of a chunk, given as for
-    ``forward``, with a ``target`` of shape (3,) or (examples, 3). Runs the
-    forward pass once, into the workspace, and reads each example's rows
-    back from its slots; with dropout, each example's seed must be that of
-    the paired forward.
-
-    The gradient is added into ``grads``, which is returned; it defaults to a
-    fresh ``params.zeros_like()``. A chunk's gradient is each example's, one
-    after the other, added in order: every tensor gets the same adds as one
-    call per example would make, so one accumulator can sum a whole batch,
-    and embedding rows no token of the chunk hits are left untouched. The
-    loss is a float, or a list of one per example of the chunk."""
-    one = isinstance(seq1, np.ndarray)
-    count = 1 if one else len(seq1)
-    targets = np.asarray(target, dtype=np.float64)
-    if targets.shape != ((3,) if one else (count, 3)):
-        raise ShapeMismatch(f"target must have shape {(3,) if one else (count, 3)}, "
-                            f"got {targets.shape}")
-    ws = Workspace(config) if workspace is None else workspace
-    trace, masks, rows1, rows2 = _forward_internal(params, config, seq1, seq2, dropout_enabled,
-                                                   rng_seed, ws, keep=True)
-    if grads is None:
-        grads = params.zeros_like()
-    diff = ws.rows("outputs", count) - targets.reshape(count, 3)
+def _backward_chunk(p, config, chunk, targets, seeds, grads, ws):
+    """Each example's loss, after adding the chunk's gradient into
+    ``grads``."""
+    masks, ids1, rows1, ids2, rows2 = _forward_chunk(p, config, chunk, seeds, ws, keep=True)
+    count, d = len(chunk), config.model_dim
+    diff = ws.rows("outputs", count) - targets
     losses = np.mean(diff ** 2, axis=1).tolist()
     douts = 2.0 * diff / 3.0
 
-    pooled, d = ws.rows("pooled", count), config.model_dim
+    pooled = ws.rows("pooled", count)
     vec = ws.column[:d]
     for i in range(count):
         for m, head in enumerate(HEAD_NAMES):
@@ -705,24 +603,79 @@ def backward(
     dpooled.fill(0.0)
     term = ws.scratch[: count * d].reshape(count, d)
     for m, head in enumerate(HEAD_NAMES):
-        dpooled += np.multiply(douts[:, m : m + 1], params[f"head.{head}.w"], out=term)
+        dpooled += np.multiply(douts[:, m : m + 1], p[f"head.{head}.w"], out=term)
     lengths = np.array([r.stop - r.start for r in rows1], dtype=np.float64)
     np.divide(dpooled, lengths[:, None], out=dpooled)  # each row pools at 1/n
-    n1 = rows1[-1].stop
+    n1, n2 = ids1.shape[0], ids2.shape[0]
     denc1 = ws.rows("denc1", n1)
     for i, r in enumerate(rows1):
         denc1[r] = dpooled[i]
-    if trace.enc2_states is not None:
+    if n2:
         pairs = [(r1, r2) for r1, r2 in zip(rows1, rows2) if r2.stop > r2.start]
         dcross = _dropped(denc1, masks, -1, ws)
-        dxq, dxkv = _attention_backward(params, "cross", trace.enc1_states, trace.enc2_states,
-                                        pairs, config.num_cross_heads, dcross, grads, ws)
+        dxq, dxkv = _attention_backward(p, "cross", ws.rows("enc1.final_ln.y", n1),
+                                        ws.rows("enc2.final_ln.y", n2), pairs,
+                                        config.num_cross_heads, dcross, grads, ws)
         for r1, _ in pairs:  # dxq's rows of an example without context are not its own
             denc1[r1] += dxq[r1]
         enc2_masks = None if masks is None else masks[1 + 2 * config.num_layers:]
-        ids2 = seq2 if one else np.concatenate(seq2)
-        _encoder_backward(params, "enc2", ids2, [r2 for _, r2 in pairs], config, enc2_masks,
+        _encoder_backward(p, "enc2", ids2, [r2 for _, r2 in pairs], config, enc2_masks,
                           dxkv, grads, ws)
-    ids1 = seq1 if one else np.concatenate(seq1)
-    _encoder_backward(params, "enc1", ids1, rows1, config, masks, denc1, grads, ws)
-    return (losses[0] if one else losses), grads
+    _encoder_backward(p, "enc1", ids1, rows1, config, masks, denc1, grads, ws)
+    return losses
+
+
+def forward(
+    params: ModelParameters,
+    config: ModelConfig,
+    examples: Sequence,
+    seeds: Optional[Sequence[int]] = None,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """The ``(n, 3)`` head outputs of ``n`` examples, each with a ``seq1``
+    and a ``seq2`` array of ids. With ``seeds``, one per example, dropout is
+    on and each example draws its masks from its own seed. Runs one pass per
+    chunk (``chunks``) in ``workspace``, a fresh one by default."""
+    _check_examples(config, examples, seeds)
+    ws = Workspace(config) if workspace is None else workspace
+    outputs = np.empty((len(examples), 3))
+    for run in chunks(examples, ws.capacity):
+        _forward_chunk(params, config, examples[run], None if seeds is None else seeds[run], ws)
+        outputs[run] = ws.rows("outputs", run.stop - run.start)
+    return outputs
+
+
+def backward(
+    params: ModelParameters,
+    config: ModelConfig,
+    examples: Sequence,
+    targets: np.ndarray,
+    seeds: Optional[Sequence[int]] = None,
+    grads: Optional[ModelParameters] = None,
+    workspace: Optional[Workspace] = None,
+) -> tuple[list[float], ModelParameters]:
+    """Each example's loss (mean squared error over the three heads against
+    its row of the ``(n, 3)`` ``targets``), as a list, and the exact gradient
+    of their sum for every parameter tensor. ``examples``, ``seeds`` and
+    ``workspace`` are as for ``forward``; with dropout, each example's seed
+    must be that of the paired forward. Each chunk's forward pass runs once,
+    into the workspace, and its gradient reads each example's rows back.
+
+    The gradient is added into ``grads``, which is returned; it defaults to a
+    fresh ``params.zeros_like()``. Each example's gradient is added in order:
+    every tensor gets the same adds as one call per example would make, so
+    one accumulator can sum a whole batch, and embedding rows no token hits
+    are left untouched."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (len(examples), 3):
+        raise ShapeMismatch(f"targets must have shape {(len(examples), 3)}, "
+                            f"got {targets.shape}")
+    _check_examples(config, examples, seeds)
+    ws = Workspace(config) if workspace is None else workspace
+    if grads is None:
+        grads = params.zeros_like()
+    losses = []
+    for run in chunks(examples, ws.capacity):
+        losses += _backward_chunk(params, config, examples[run], targets[run],
+                                  None if seeds is None else seeds[run], grads, ws)
+    return losses, grads

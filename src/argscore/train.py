@@ -14,14 +14,12 @@ from argscore import evaluation
 from argscore.augment import AugmentationKind, AugmentationSet, KIND_ORDER
 from argscore.corpus import ArgumentRecord, Dataset
 from argscore.model import (
-    CHUNK_SEQUENCES,
     EncodedExample,
     ModelConfig,
     ModelParameters,
     Vocabulary,
     Workspace,
     backward,
-    chunks,
     encode_input,
     forward,
 )
@@ -80,8 +78,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not all(0.0 <= beta < 1.0 for beta in self.adam_betas):
             raise ValueError("adam_betas must each lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise ValueError("adam_eps must be positive and finite")
 
 
 @dataclass
@@ -204,12 +202,10 @@ def train(
     workspace and gradients are released, and takes the best weights.
 
     Each visit re-masks similar-quality, in visit order, and
-    ``truncated_tokens`` count every visit. A batch's visits run in chunks
-    (``network.chunks``) that fit the run's one ``Workspace`` of
-    ``CHUNK_SEQUENCES * max_seq_len`` rows, one ``backward`` per chunk with
-    each example's own dropout seed; each example's gradient is added into
-    the accumulator in visit order, so the sum is that of one call per
-    example. Each batch's sum is averaged, clipped and applied by one Adam
+    ``truncated_tokens`` count every visit. A batch's visits run through one
+    ``backward`` in the run's one ``Workspace``, with each example's own
+    dropout seed; each example's gradient is added into the accumulator in
+    visit order. Each batch's sum is averaged, clipped and applied by one Adam
     step, at a rate falling linearly from ``tcfg.learning_rate`` to zero over
     the run's ``epochs * ceil(n_train / batch_size)`` steps. ``NonFiniteLoss``
     stops training on the first example, in visit order, whose loss is
@@ -222,7 +218,6 @@ def train(
     shuffle_rng = stream(tcfg.rng_seed, "shuffle")
     mask_rng = stream(tcfg.rng_seed, "masking")
     state = TrainState()
-    dropout_on = config.dropout_rate > 0.0
     kept, dropped = tcfg.active_kinds, tcfg.active_kinds - {AugmentationKind.SIMILAR_QUALITY}
     # apply_masking keeps similar-quality when its draw in [0, 1) is below gamma
     kind_sets = dict.fromkeys(kinds for kinds, drawn in ((kept, tcfg.gamma > 0.0),
@@ -257,7 +252,7 @@ def train(
     scratch = np.zeros((config.vocab_size, config.model_dim))  # for clip_gradients
     optimizer = AdamOptimizer(weights, tcfg)
     input_finite = bool(np.isfinite(params.flat).all())
-    workspace = Workspace(config, CHUNK_SEQUENCES * config.max_seq_len)
+    workspace = Workspace(config)
 
     best_score = -np.inf
     total_steps = tcfg.epochs * math.ceil(len(train_recs) / tcfg.batch_size)
@@ -277,23 +272,20 @@ def train(
             grads.flat.fill(0.0)
             visits = [encoded[j, apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)]
                       for j in batch]
-            for run in chunks(visits, workspace.capacity):
-                indices, chunk = batch[run], visits[run]
-                losses, grads = backward(
-                    weights, config, [enc.seq1 for enc in chunk], [enc.seq2 for enc in chunk],
-                    target_rows[indices], dropout_enabled=dropout_on,
-                    rng_seed=[derive_seed(tcfg.rng_seed, 3, epoch, j) for j in indices],
-                    grads=grads, workspace=workspace,
-                )
-                for j, enc, example_loss in zip(indices, chunk, losses):
-                    state.truncated_tokens += enc.truncated_tokens
-                    if not math.isfinite(example_loss):
-                        raise diverged("non-finite loss", record_id=train_recs[j].id,
-                                       loss=example_loss)
-                    if example_loss > LOSS_CEILING:
-                        raise diverged("loss above ceiling", record_id=train_recs[j].id,
-                                       loss=example_loss)
-                    epoch_losses.append(example_loss)
+            seeds = None
+            if config.dropout_rate > 0.0:
+                seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j) for j in batch]
+            losses, grads = backward(weights, config, visits, target_rows[batch], seeds,
+                                     grads=grads, workspace=workspace)
+            for j, enc, example_loss in zip(batch, visits, losses):
+                state.truncated_tokens += enc.truncated_tokens
+                if not math.isfinite(example_loss):
+                    raise diverged("non-finite loss", record_id=train_recs[j].id,
+                                   loss=example_loss)
+                if example_loss > LOSS_CEILING:
+                    raise diverged("loss above ceiling", record_id=train_recs[j].id,
+                                   loss=example_loss)
+                epoch_losses.append(example_loss)
             grads.flat *= 1.0 / len(batch)
             grad_norm = clip_gradients(grads, tcfg.grad_clip_norm, tables, scratch)
             if not math.isfinite(grad_norm):
@@ -381,13 +373,14 @@ def grad_check(
     seq2 = rng.integers(0, config.vocab_size, n)[: n - 3 if config.mode == "dual" else 0]
     target = rng.random(3)
 
-    run = dict(dropout_enabled=config.dropout_rate > 0.0, rng_seed=derive_seed(seed, 2),
-               workspace=Workspace(config))
-    _, analytic = backward(params, config, seq1, seq2, target, **run)
+    example = [EncodedExample(seq1, seq2)]
+    seeds = [derive_seed(seed, 2)] if config.dropout_rate > 0.0 else None
+    workspace = Workspace(config)
+    _, analytic = backward(params, config, example, target[None], seeds, workspace=workspace)
 
     def loss_now() -> float:
-        trace = forward(params, config, seq1, seq2, **run)
-        return float(np.mean((trace.outputs - target) ** 2))
+        outputs = forward(params, config, example, seeds, workspace)[0]
+        return float(np.mean((outputs - target) ** 2))
 
     report: dict[str, float] = {}
     for name, arr in params.items():

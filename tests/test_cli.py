@@ -160,6 +160,7 @@ def _error_line(capsys) -> str:
     pytest.param([], {"adam_betas": [0.9, -0.5]}, "adam_betas", id="beta2-negative"),
     pytest.param([], {"adam_eps": 0.0}, "adam_eps", id="eps-zero"),
     pytest.param([], {"adam_eps": -1.0}, "adam_eps", id="eps-negative"),
+    pytest.param([], {"adam_eps": float("inf")}, "adam_eps", id="eps-infinite"),
     pytest.param([], {"learning_rate": float("nan")}, "learning_rate", id="rate-nan"),
     pytest.param([], {"learning_rate": float("inf")}, "learning_rate", id="rate-infinite"),
     pytest.param([], {"grad_clip_norm": float("nan")}, "grad_clip_norm", id="clip-nan"),

@@ -20,6 +20,7 @@ from argscore.evaluation import (
     spearman,
 )
 from argscore.model import EncodedExample, build_vocab, encode_input, forward, init_parameters
+from argscore.model import network
 
 from tests.conftest import small_config
 
@@ -48,7 +49,7 @@ def test_evaluate_is_score_of_predict_and_predict_is_forward(tiny_dataset):
     raw = predict(params, config, encoded)
     assert raw.shape == (len(records), 3)
     for row, enc in zip(raw, encoded):
-        assert row.tobytes() == forward(params, config, enc.seq1, enc.seq2).outputs.tobytes()
+        assert row.tobytes() == forward(params, config, [enc])[0].tobytes()
     expected = score(records, raw, "tiny", "train", config.mode, KIND_ORDER)
     assert evaluate(params, config, vocab, tiny_dataset, augs, "train", KIND_ORDER) == expected
     assert expected.augs == "all" and expected.n == len(records)
@@ -76,22 +77,24 @@ def test_predict_packs_chunks_and_each_row_is_its_forward_pass_alone(monkeypatch
     encoded = [EncodedExample(rng.integers(0, config.vocab_size, n1),
                               rng.integers(0, config.vocab_size, n2 if context else 0))
                for n1, n2 in LENGTHS]
+    runs = network.chunks(encoded, network.Workspace(config).capacity)
+    assert [run.stop - run.start for run in runs] == chunks
     sizes = []
 
-    def counted(params, config, seq1, seq2, **kwargs):
-        sizes.append(len(seq1))
-        return forward(params, config, seq1, seq2, **kwargs)
+    def counted(params, config, examples, **kwargs):
+        sizes.append(len(examples))
+        return forward(params, config, examples, **kwargs)
 
     monkeypatch.setattr(evaluation.network, "forward", counted)
     raw = predict(params, config, encoded)
-    assert sizes == chunks
+    assert sizes == [len(encoded)]
     for i, enc in enumerate(encoded):
-        assert raw[i].tobytes() == forward(params, config, enc.seq1, enc.seq2).outputs.tobytes(), i
+        assert raw[i].tobytes() == forward(params, config, [enc])[0].tobytes(), i
 
     sizes.clear()
     assert predict(params, config, encoded[:1]).tobytes() == raw[:1].tobytes()
     empty = predict(params, config, [])
-    assert empty.shape == (0, 3) and sizes == [1]
+    assert empty.shape == (0, 3) and sizes == [1, 0]
 
 
 @pytest.mark.parametrize("rows", [2, 4])  # a row short, a row over

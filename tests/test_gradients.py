@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from argscore.model import ModelConfig, backward, forward, init_parameters
+from argscore.model import EncodedExample, ModelConfig, backward, forward, init_parameters
 from argscore.train import default_gradcheck_config, grad_check
 from tests.conftest import random_example, small_config
 
@@ -52,7 +52,7 @@ def test_masked_context_parameters_get_zero_gradient():
     params = init_parameters(config, seed=1)
     seq1, seq2 = random_example(config, 2)
     target = np.array([0.3, 0.5, 0.7])
-    _, grads = backward(params, config, seq1, seq2[:0], target)
+    _, grads = backward(params, config, [EncodedExample(seq1, seq2[:0])], [target])
     for name, g in grads.items():
         if name.startswith("enc2.") or name.startswith("cross."):
             assert (g == 0.0).all(), name
@@ -70,7 +70,7 @@ def test_head_bias_gradient_formula():
     params["head.reasonableness.b"][:] = 0.0
     seq1, seq2 = random_example(config, 7)
     target = np.zeros(3)
-    loss, grads = backward(params, config, seq1, seq2, target)
+    (loss,), grads = backward(params, config, [EncodedExample(seq1, seq2)], [target])
     assert grads["head.cogency.b"][0] == pytest.approx(2 * 0.25 / 3, abs=1e-15)
     assert grads["head.effectiveness.b"][0] == pytest.approx(2 * -0.5 / 3, abs=1e-15)
     assert grads["head.reasonableness.b"][0] == pytest.approx(0.0, abs=1e-15)
@@ -81,7 +81,7 @@ def test_gradient_store_aligned_with_parameters():
     config = small_config()
     params = init_parameters(config, seed=0)
     seq1, seq2 = random_example(config, 0)
-    _, grads = backward(params, config, seq1, seq2, np.zeros(3))
+    _, grads = backward(params, config, [EncodedExample(seq1, seq2)], np.zeros((1, 3)))
     assert set(grads) == set(params)
     for name in grads:
         assert grads[name].shape == params[name].shape
@@ -92,29 +92,30 @@ def test_backward_with_dropout_matches_seeded_forward():
     params = init_parameters(config, seed=8)
     seq1, seq2 = random_example(config, 9)
     target = np.array([0.2, 0.4, 0.6])
-    trace = forward(params, config, seq1, seq2, dropout_enabled=True, rng_seed=5)
-    loss, _ = backward(params, config, seq1, seq2, target, dropout_enabled=True, rng_seed=5)
-    assert loss == pytest.approx(float(np.mean((trace.outputs - target) ** 2)), abs=1e-15)
+    example = [EncodedExample(seq1, seq2)]
+    outputs = forward(params, config, example, seeds=[5])[0]
+    (loss,), _ = backward(params, config, example, [target], seeds=[5])
+    assert loss == pytest.approx(float(np.mean((outputs - target) ** 2)), abs=1e-15)
 
 
 def test_backward_accumulates_into_given_grads():
     config = small_config(vocab_size=200)
     params = init_parameters(config, seed=4)
-    examples = [random_example(config, s) for s in (11, 12)]
+    examples = [EncodedExample(*random_example(config, s)) for s in (11, 12)]
     targets = [np.array([0.1, 0.5, 0.9]), np.array([0.7, 0.2, 0.4])]
-    fresh = [backward(params, config, *ex, t)[1] for ex, t in zip(examples, targets)]
+    fresh = [backward(params, config, [ex], [t])[1] for ex, t in zip(examples, targets)]
 
     acc = params.zeros_like()
     for ex, t in zip(examples, targets):
-        _, returned = backward(params, config, *ex, t, grads=acc)
+        _, returned = backward(params, config, [ex], [t], grads=acc)
         assert returned is acc
     for name in acc:
         np.testing.assert_allclose(acc[name], fresh[0][name] + fresh[1][name],
                                    rtol=0.0, atol=1e-12, err_msg=name)
 
-    for enc, seq_index in (("enc1", 0), ("enc2", 1)):
+    for enc, seq in (("enc1", "seq1"), ("enc2", "seq2")):
         hit = np.zeros(config.vocab_size, dtype=bool)
         for ex in examples:
-            hit[ex[seq_index]] = True
+            hit[getattr(ex, seq)] = True
         assert not hit.all()
         assert (acc[f"{enc}.tok_emb"][~hit] == 0.0).all(), enc

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from argscore.model import ShapeMismatch, forward, init_parameters, parameter_shapes
+from argscore.model import (EncodedExample, ShapeMismatch, Workspace, forward, init_parameters,
+                            parameter_shapes)
 from tests.conftest import random_example, small_config
+
+
+def _one(params, config, seq1, seq2, **kwargs):
+    """The outputs of one example."""
+    return forward(params, config, [EncodedExample(seq1, seq2)], **kwargs)[0]
 
 
 def test_deterministic_init_and_forward():
@@ -14,8 +20,8 @@ def test_deterministic_init_and_forward():
     for name in a:
         assert (a[name] == b[name]).all()
     seq1, seq2 = random_example(config, 0)
-    out_a = forward(a, config, seq1, seq2).outputs
-    out_b = forward(b, config, seq1, seq2).outputs
+    out_a = _one(a, config, seq1, seq2)
+    out_b = _one(b, config, seq1, seq2)
     assert (out_a == out_b).all()
 
 
@@ -23,10 +29,15 @@ def test_attention_rows_sum_to_one_and_masked_keys_zero():
     config = small_config(num_layers=2)
     params = init_parameters(config, seed=1)
     seq1, seq2 = random_example(config, 3, pad1=3, pad2=4)
-    trace = forward(params, config, seq1, seq2)
-    for probs in trace.enc1_self_attn + trace.enc2_self_attn + [trace.cross_attn]:
+    workspace = Workspace(config)
+    _one(params, config, seq1, seq2, workspace=workspace)
+    n1, n2, h = len(seq1), len(seq2), config.num_heads
+    slots = [(f"{enc}.layer{i}.attn", n, n) for enc, n in (("enc1", n1), ("enc2", n2))
+             for i in range(config.num_layers)] + [("cross", n1, n2)]
+    for prefix, nq, nk in slots:
+        probs = workspace.heads(f"{prefix}.probs", h, nq, nk)
         sums = probs.sum(axis=-1)
-        assert np.abs(sums - 1.0).max() < 1e-6
+        assert np.abs(sums - 1.0).max() < 1e-6, prefix
 
 
 def test_all_pad_seq2_equals_cross_bypass():
@@ -39,9 +50,14 @@ def test_all_pad_seq2_equals_cross_bypass():
     for name in alone:
         alone[name][...] = params[name]
     seq1, seq2 = random_example(config, 5)
-    no_seq2 = forward(params, config, seq1, seq2[:0])
-    assert (no_seq2.outputs == forward(alone, single, seq1, seq2[:0]).outputs).all()
-    assert no_seq2.cross_attn is None and no_seq2.enc2_states is None
+    workspace = Workspace(config)
+    for array in workspace.slots.values():
+        array.fill(np.nan)
+    no_seq2 = _one(params, config, seq1, seq2[:0], workspace=workspace)
+    assert (no_seq2 == _one(alone, single, seq1, seq2[:0])).all()
+    # neither the context encoder nor the cross-attention ran
+    for name in ("cross.probs", "cross.q", "enc2.final_ln.y", "enc2.layer0.attn.probs"):
+        assert np.isnan(workspace.slots[name]).all(), name
 
 
 def test_single_mode_has_no_context_tensors_and_rejects_context():
@@ -49,10 +65,10 @@ def test_single_mode_has_no_context_tensors_and_rejects_context():
     assert not [n for n in parameter_shapes(config) if n.startswith(("enc2.", "cross."))]
     params = init_parameters(config, seed=2)
     seq1, seq2 = random_example(config, 5)
-    trace = forward(params, config, seq1, seq2[:0])
-    assert trace.cross_attn is None and trace.enc2_states is None
+    assert not [n for n in Workspace(config).slots if n.startswith(("enc2.", "cross."))]
+    assert np.isfinite(_one(params, config, seq1, seq2[:0])).all()
     with pytest.raises(ShapeMismatch):
-        forward(params, config, seq1, seq2)
+        _one(params, config, seq1, seq2)
 
 
 def test_permutation_sensitivity():
@@ -60,11 +76,11 @@ def test_permutation_sensitivity():
     params = init_parameters(config, seed=11)
     rng = np.random.default_rng(0)
     seq1, seq2 = random_example(config, 1, pad1=0, pad2=0)
-    base = forward(params, config, seq1, seq2).outputs
+    base = _one(params, config, seq1, seq2)
     differs = False
     for _ in range(5):
         perm = rng.permutation(len(seq1))
-        permuted = forward(params, config, seq1[perm], seq2).outputs
+        permuted = _one(params, config, seq1[perm], seq2)
         if np.abs(permuted - base).max() > 1e-9:
             differs = True
             break
@@ -75,9 +91,9 @@ def test_dropout_seed_reproducibility():
     config = small_config(dropout_rate=0.2)
     params = init_parameters(config, seed=4)
     seq1, seq2 = random_example(config, 6)
-    a = forward(params, config, seq1, seq2, dropout_enabled=True, rng_seed=77).outputs
-    b = forward(params, config, seq1, seq2, dropout_enabled=True, rng_seed=77).outputs
-    c = forward(params, config, seq1, seq2, dropout_enabled=True, rng_seed=78).outputs
+    a = _one(params, config, seq1, seq2, seeds=[77])
+    b = _one(params, config, seq1, seq2, seeds=[77])
+    c = _one(params, config, seq1, seq2, seeds=[78])
     assert (a == b).all()
     assert np.abs(a - c).max() > 0
 
@@ -87,11 +103,11 @@ def test_shape_mismatch_errors():
     params = init_parameters(config, seed=0)
     seq1, seq2 = random_example(config, 0, pad1=0)
     with pytest.raises(ShapeMismatch):
-        forward(params, config, seq1.reshape(2, -1), seq2)
+        _one(params, config, seq1.reshape(2, -1), seq2)
     with pytest.raises(ShapeMismatch):
-        forward(params, config, np.concatenate([seq1, seq1]), seq2)
+        _one(params, config, np.concatenate([seq1, seq1]), seq2)
     with pytest.raises(ShapeMismatch):
-        forward(params, config, seq1[:0], seq2)
+        _one(params, config, seq1[:0], seq2)
 
 
 def test_token_ids_outside_the_table_raise():
@@ -101,9 +117,9 @@ def test_token_ids_outside_the_table_raise():
     seq1, seq2 = random_example(config, 0)
     for bad in (config.vocab_size, -config.vocab_size - 1):
         with pytest.raises(IndexError):
-            forward(params, config, np.append(seq1, bad), seq2)
+            _one(params, config, np.append(seq1, bad), seq2)
         with pytest.raises(IndexError):
-            forward(params, config, seq1, np.append(seq2, bad))
+            _one(params, config, seq1, np.append(seq2, bad))
     wrapped = np.append(seq1[:-1], seq1[-1] - config.vocab_size)  # a negative id counts back
-    assert forward(params, config, wrapped, seq2).outputs.tobytes() == \
-        forward(params, config, seq1, seq2).outputs.tobytes()
+    assert _one(params, config, wrapped, seq2).tobytes() == \
+        _one(params, config, seq1, seq2).tobytes()

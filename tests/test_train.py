@@ -126,7 +126,7 @@ def _train_mse(params, config, vocab, dataset):
     errors = []
     for rec in dataset.split("train"):
         enc = encode_input(rec, None, vocab, config, set())
-        out = forward(params, config, enc.seq1, enc.seq2).outputs
+        out = forward(params, config, [enc])[0]
         errors.append(float(np.mean((out - np.array(rec.labels.normalized())) ** 2)))
     return float(np.mean(errors))
 
@@ -251,11 +251,11 @@ def _dense_train(params, config, tcfg, ds, aug, vocab):
                 rec = train_recs[j]
                 kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
                 enc = encode_input(rec, aug.get(rec.id), vocab, config, kinds)
-                loss, grads = backward(params, config, enc.seq1, enc.seq2,
-                                       np.array(rec.labels.normalized()),
-                                       dropout_enabled=config.dropout_rate > 0.0,
-                                       rng_seed=derive_seed(tcfg.rng_seed, 3, epoch, j),
-                                       grads=grads)
+                seeds = None
+                if config.dropout_rate > 0.0:
+                    seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j)]
+                (loss,), grads = backward(params, config, [enc], [rec.labels.normalized()],
+                                          seeds, grads=grads)
                 epoch_losses.append(loss)
             grads.flat *= 1.0 / len(chunk)
             clip_gradients(grads, tcfg.grad_clip_norm)
@@ -377,7 +377,7 @@ def test_seeded_dual_training_reproduces_recorded_values():
     aug = {r.id: FULL_AUG for r in ds.records}
     best, state, _ = train(init_parameters(config, 4), config, tcfg, ds, aug, vocab)
     enc = encode_input(ds.records[0], FULL_AUG, vocab, config, ALL_KINDS)
-    out = forward(best, config, enc.seq1, enc.seq2, dropout_enabled=True, rng_seed=9).outputs
+    out = forward(best, config, [enc], seeds=[9])[0]
 
     def pinned(actual, expected):
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
