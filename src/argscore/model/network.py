@@ -554,14 +554,17 @@ def _draw_masks(config, seeds, rows1, rows2, ws):
 def _forward_chunk(p, config, chunk, seeds, ws, keep=False):
     """The pass over ``chunk``, a run of examples that ``chunks`` packed,
     into the workspace, its outputs in the ``outputs`` rows. Returns its
-    dropout masks (the ``masks`` rows, or None without ``seeds``), and its
+    dropout masks (the ``masks`` rows, or None without ``seeds`` or at a
+    zero ``dropout_rate``), and its
     stacked seq1 ids and each example's slice of them, and likewise its seq2
     ids. ``keep`` keeps every example's attention probabilities, for
     ``backward``."""
     ids1, rows1 = _stack([example.seq1 for example in chunk])
     ids2, rows2 = _stack([example.seq2 for example in chunk])
     n1, n2 = ids1.shape[0], ids2.shape[0]
-    masks = None if seeds is None else _draw_masks(config, seeds, rows1, rows2, ws)
+    masks = None
+    if seeds is not None and config.dropout_rate > 0.0:
+        masks = _draw_masks(config, seeds, rows1, rows2, ws)
     pairs = [(r1, r2) for r1, r2 in zip(rows1, rows2) if r2.stop > r2.start]
     fused = enc1_out = _encoder_forward(p, "enc1", ids1, rows1, config, masks, ws, keep)
     if n2:
@@ -633,9 +636,10 @@ def forward(
     workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """The ``(n, 3)`` head outputs of ``n`` examples, each with a ``seq1``
-    and a ``seq2`` array of ids. With ``seeds``, one per example, dropout is
-    on and each example draws its masks from its own seed. Runs one pass per
-    chunk (``chunks``) in ``workspace``, a fresh one by default."""
+    and a ``seq2`` array of ids. With ``seeds``, one per example, and a
+    nonzero ``dropout_rate``, dropout is on and each example draws its masks
+    from its own seed. Runs one pass per chunk (``chunks``) in
+    ``workspace``, a fresh one by default."""
     _check_examples(config, examples, seeds)
     ws = Workspace(config) if workspace is None else workspace
     outputs = np.empty((len(examples), 3))

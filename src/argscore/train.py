@@ -272,9 +272,7 @@ def train(
             grads.flat.fill(0.0)
             visits = [encoded[j, apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)]
                       for j in batch]
-            seeds = None
-            if config.dropout_rate > 0.0:
-                seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j) for j in batch]
+            seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j) for j in batch]
             losses, grads = backward(weights, config, visits, target_rows[batch], seeds,
                                      grads=grads, workspace=workspace)
             for j, enc, example_loss in zip(batch, visits, losses):
@@ -374,7 +372,7 @@ def grad_check(
     target = rng.random(3)
 
     example = [EncodedExample(seq1, seq2)]
-    seeds = [derive_seed(seed, 2)] if config.dropout_rate > 0.0 else None
+    seeds = [derive_seed(seed, 2)]
     workspace = Workspace(config)
     _, analytic = backward(params, config, example, target[None], seeds, workspace=workspace)
 

@@ -77,17 +77,21 @@ def test_predict_packs_chunks_and_each_row_is_its_forward_pass_alone(monkeypatch
     encoded = [EncodedExample(rng.integers(0, config.vocab_size, n1),
                               rng.integers(0, config.vocab_size, n2 if context else 0))
                for n1, n2 in LENGTHS]
-    runs = network.chunks(encoded, network.Workspace(config).capacity)
-    assert [run.stop - run.start for run in runs] == chunks
-    sizes = []
+    sizes, packed = [], []
+    run_chunk = network._forward_chunk
 
     def counted(params, config, examples, **kwargs):
         sizes.append(len(examples))
         return forward(params, config, examples, **kwargs)
 
+    def recorded(p, config, chunk, *args, **kwargs):
+        packed.append(len(chunk))
+        return run_chunk(p, config, chunk, *args, **kwargs)
+
     monkeypatch.setattr(evaluation.network, "forward", counted)
+    monkeypatch.setattr(network, "_forward_chunk", recorded)
     raw = predict(params, config, encoded)
-    assert sizes == [len(encoded)]
+    assert sizes == [len(encoded)] and packed == chunks
     for i, enc in enumerate(encoded):
         assert raw[i].tobytes() == forward(params, config, [enc])[0].tobytes(), i
 

@@ -251,9 +251,7 @@ def _dense_train(params, config, tcfg, ds, aug, vocab):
                 rec = train_recs[j]
                 kinds = apply_masking(tcfg.active_kinds, tcfg.gamma, mask_rng)
                 enc = encode_input(rec, aug.get(rec.id), vocab, config, kinds)
-                seeds = None
-                if config.dropout_rate > 0.0:
-                    seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j)]
+                seeds = [derive_seed(tcfg.rng_seed, 3, epoch, j)]
                 (loss,), grads = backward(params, config, [enc], [rec.labels.normalized()],
                                           seeds, grads=grads)
                 epoch_losses.append(loss)

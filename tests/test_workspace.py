@@ -10,7 +10,7 @@ import pytest
 
 from argscore.model import (EncodedExample, ModelConfig, ShapeMismatch, Workspace, backward,
                             forward, init_parameters)
-from argscore.model.network import chunks
+from argscore.model import network
 from tests.conftest import small_config
 
 
@@ -83,7 +83,8 @@ def test_backward_after_a_packed_chunk_gives_the_bytes_of_a_fresh_workspace(drop
 
 @pytest.mark.parametrize("mode", ["dual", "single"])
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
-def test_a_packed_pass_gives_each_example_the_bytes_of_its_pass_alone(mode, dropout):
+def test_a_packed_pass_gives_each_example_the_bytes_of_its_pass_alone(monkeypatch, mode,
+                                                                    dropout):
     """One call over more rows than a workspace holds, which ``chunks``
     packs several to a chunk, one without context among them, a one-row
     sequence alone and a chunk at capacity. Its outputs are each example's
@@ -107,12 +108,27 @@ def test_a_packed_pass_gives_each_example_the_bytes_of_its_pass_alone(mode, drop
     targets = rng.random((len(examples), 3))
     seeds = list(range(20, 20 + len(examples))) if dropout else None
     workspace = _poisoned(config)
-    runs = list(chunks(examples, workspace.capacity))
+    runs = list(network.chunks(examples, workspace.capacity))
     sizes = [sum(len(e.seq1) for e in examples[run]) for run in runs]
     assert max(run.stop - run.start for run in runs) >= 3 and workspace.capacity in sizes
     assert slice(3, 4) in runs  # the one-row sequence
+    passes = {"forward": [], "backward": []}
+    run_chunk = {name: getattr(network, f"_{name}_chunk") for name in passes}
+
+    def recorder(name):
+        def recorded(p, config, chunk, *args, **kwargs):
+            passes[name].append(len(chunk))
+            return run_chunk[name](p, config, chunk, *args, **kwargs)
+        return recorded
+
+    for name in passes:
+        monkeypatch.setattr(network, f"_{name}_chunk", recorder(name))
+    expected = [run.stop - run.start for run in runs]
     outputs = forward(params, config, examples, seeds, workspace=workspace)
+    assert passes == {"forward": expected, "backward": []}
     losses, packed = backward(params, config, examples, targets, seeds, workspace=workspace)
+    assert passes == {"forward": expected * 2, "backward": expected}
+    monkeypatch.undo()
     alone = params.zeros_like()
     for i, example in enumerate(examples):
         seed = None if seeds is None else seeds[i : i + 1]
@@ -179,9 +195,10 @@ def test_an_empty_list_gives_no_outputs_and_leaves_grads_untouched():
 
 def test_a_warm_backward_barely_allocates():
     """At the benchmark's synth size, a second backward pass in the same
-    workspace peaks at under a tenth of what the first pass, workspace
-    included, allocated: nothing that scales with a sequence or the model is
-    made per example."""
+    workspace peaks at under three quarters of one copy of the parameters, a
+    bound that does not grow with the workspace's chunk of rows: nothing the
+    size of the model, or of two of an example's attention maps, is made per
+    example."""
     config = ModelConfig(vocab_size=55, max_seq_len=64, model_dim=32, num_layers=1,
                          num_heads=4, ffn_dim=128, num_cross_heads=4, dropout_rate=0.1)
     params = init_parameters(config, seed=0)
@@ -197,11 +214,10 @@ def test_a_warm_backward_barely_allocates():
     try:
         workspace = Workspace(config)
         run(workspace)
-        first = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         run(workspace)
         second = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert second < 0.1 * first
+    assert second < 0.75 * params.flat.nbytes
