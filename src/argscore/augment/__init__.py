@@ -63,6 +63,11 @@ __all__ = [
 ]
 
 
+# the kinds' names in KIND_ORDER: the text fields of an AugmentationSet and its metadata keys
+_KIND_NAMES = tuple(kind.value for kind in KIND_ORDER)
+_KIND_NAME_SET = frozenset(_KIND_NAMES)
+
+
 @dataclass(frozen=True)
 class GenerationMetadata:
     provider: str
@@ -82,11 +87,11 @@ class AugmentationSet:
     metadata: dict[str, GenerationMetadata] = field(default_factory=dict)
 
     def __post_init__(self):
-        for kind in KIND_ORDER:
-            text = self.get(kind)
+        for name in _KIND_NAMES:
+            text = getattr(self, name)
             if text is not None and not text.strip():
-                raise ValueError(f"{kind.value} text present but empty")
-        if not self.metadata.keys() <= {kind.value for kind in KIND_ORDER}:
+                raise ValueError(f"{name} text present but empty")
+        if not self.metadata.keys() <= _KIND_NAME_SET:
             raise ValueError(f"metadata keys must be kind names, got {sorted(self.metadata)}")
 
     def get(self, kind: AugmentationKind) -> Optional[str]:
@@ -124,39 +129,39 @@ def generate(
     """Produce the requested texts for one record, reusing cached responses.
 
     Every requested prompt is rendered first, so one that ``render_prompt``
-    cannot render raises before anything is sent or cached. Each prompt is
-    then looked up in the cache by content hash, and only on a miss sent to
-    the provider; the response is persisted before returning. A hit's metadata
-    carries the time its entry was written. A reply that is not a non-blank
-    string, from any provider, raises ``ProviderError`` (status 0) before it
-    is cached. Provider failures propagate and leave the cache untouched.
+    cannot render raises before anything is sent or cached. The provider's
+    name, model and temperature are read once per call. Each prompt is then
+    looked up in the cache by content hash, a hit costing one ``os.read`` of
+    its entry and the entry's checks (see ``augment.cache``), and only on a
+    miss sent to the provider; the response is persisted before returning. A
+    hit's metadata carries the time its entry was written. A reply that is not
+    a non-blank string, from any provider, raises ``ProviderError`` (status 0)
+    before it is cached. Provider failures propagate and leave the cache
+    untouched.
     """
     requested = set(kinds)
-    rendered = {kind: render_prompt(kind, record, exemplars)
-                for kind in KIND_ORDER if kind in requested}
+    rendered = [(kind, render_prompt(kind, record, exemplars))
+                for kind in KIND_ORDER if kind in requested]
+    provider_name, model, temperature = provider.name, provider.model_name, provider.temperature
     texts: dict[str, str] = {}
     metadata: dict[str, GenerationMetadata] = {}
-    for kind, prompt in rendered.items():
-        key = PromptCache.key(kind.value, prompt, provider.model_name, provider.temperature)
+    for kind, prompt in rendered:
+        kind_name = kind.value
+        key = PromptCache.key(kind_name, prompt, model, temperature)
         hit = cache.get(key, prompt) if cache is not None else None
         if hit is not None:
             response, timestamp = hit  # stamped when the entry was written
         else:
             response = provider.complete(kind, prompt)
             if not isinstance(response, str) or not response.strip():
-                raise ProviderError(0, f"blank or non-string {kind.value} reply: {response!r}")
+                raise ProviderError(0, f"blank or non-string {kind_name} reply: {response!r}")
             # one timestamp, so a new cache entry and its metadata record the same time
             timestamp = provider.timestamp()
             if cache is not None:
-                cache.put(key, kind.value, prompt, response, provider.model_name,
-                          provider.temperature, timestamp)
-        texts[kind.value] = response
-        metadata[kind.value] = GenerationMetadata(
-            provider=provider.name,
-            model=provider.model_name,
-            timestamp=timestamp,
-            prompt_hash=key,
-        )
+                cache.put(key, kind_name, prompt, response, model, temperature, timestamp)
+        texts[kind_name] = response
+        metadata[kind_name] = GenerationMetadata(
+            provider=provider_name, model=model, timestamp=timestamp, prompt_hash=key)
     return AugmentationSet(metadata=metadata, **texts)
 
 

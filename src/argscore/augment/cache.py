@@ -1,9 +1,11 @@
 """Content-addressed prompt/response cache: one JSON file per key.
 
-A lookup is one ``open`` and one ``read`` of the entry file, and a missing
-file is the miss, so there is no existence probe and no gap between a probe
-and the read. Every hit is decoded and checked from the bytes on disk (a JSON
-object with string fields, the stored prompt equal to the one asked for, a
+A lookup is one ``os.open`` of the entry file, one ``fstat`` and one
+``os.read`` of exactly its size plus one byte; only a file that grew after the
+``fstat`` is read on to its end. A missing file is the miss, so there is no
+existence probe and no gap between a probe and the read. Every hit is decoded
+by one module-level ``json.JSONDecoder`` and checked from the bytes on disk (a
+JSON object with string fields, the stored prompt equal to the one asked for, a
 non-blank response); nothing is kept in memory between lookups.
 
 Each write goes to a temporary file of its own in the cache directory,
@@ -21,6 +23,8 @@ import os
 import uuid
 from pathlib import Path
 
+_decode = json.JSONDecoder().decode
+
 
 class CacheCorrupt(ValueError):
     def __init__(self, path: str | Path, reason: str):
@@ -35,27 +39,39 @@ class PromptCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._dir = str(self.directory)
+        self._prefix = os.path.join(self.directory, "")
 
     @staticmethod
     def key(kind: str, prompt: str, model: str, temperature: float) -> str:
-        material = f"{kind}\x00{model}\x00{temperature!r}\x00{prompt}"
+        """The temperature is hashed as a float, so ``1`` and ``1.0`` share a key."""
+        material = f"{kind}\x00{model}\x00{float(temperature)!r}\x00{prompt}"
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get(self, key: str, prompt: str) -> tuple[str, str] | None:
         """The stored response and its ``created_at``, or None on a miss."""
-        path = os.path.join(self._dir, key)
+        path = self._prefix + key
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
         try:
-            entry = json.loads(data.decode("utf-8"))
+            size = os.fstat(fd).st_size + 1
+            data = os.read(fd, size)
+            if len(data) == size:  # the file grew after the fstat: read on to its end
+                while more := os.read(fd, size):
+                    data += more
+        except OSError as exc:  # a directory at the path fails here; name it, as open() did
+            exc.filename = path
+            raise
+        finally:
+            os.close(fd)
+        try:
+            entry = _decode(data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CacheCorrupt(path, str(exc))
-        fields = ("prompt", "response", "created_at")
-        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in fields)):
+        if not (isinstance(entry, dict) and isinstance(entry.get("prompt"), str)
+                and isinstance(entry.get("response"), str)
+                and isinstance(entry.get("created_at"), str)):
             raise CacheCorrupt(path, "not an object with a string prompt, response and created_at")
         if entry["prompt"] != prompt:
             raise CacheCorrupt(path, "stored prompt does not match key")
@@ -82,8 +98,8 @@ class PromptCache:
             "created_at": created_at,
         }
         data = json.dumps(entry, ensure_ascii=False).encode("utf-8")
-        path = os.path.join(self._dir, key)
-        tmp = os.path.join(self._dir, f"{key}.{uuid.uuid4().hex}.tmp")
+        path = self._prefix + key
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
             with open(tmp, "xb") as fh:
                 fh.write(data)

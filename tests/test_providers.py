@@ -1,10 +1,12 @@
 """Providers, cache behavior, and the generation pipeline."""
 
+import hashlib
 import json
 import os
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,7 +100,10 @@ class TestCache:
                                        '{"prompt": "p", "response": 5}',
                                        '{"prompt": 5, "response": "r"}',
                                        '{"prompt": "p", "response": "r"}',
-                                       '{"prompt": "p", "response": " ", "created_at": "t"}'])
+                                       '{"prompt": "p", "response": " ", "created_at": "t"}',
+                                       '{"prompt": "p", "response": "r", "created_at": 5}',
+                                       '{"prompt": "p", "response": "r", "created_at": "t"} {}',
+                                       ''])
     def test_wrongly_shaped_entry_is_corrupt(self, tmp_path, entry):
         record = make_record()
         prompt = render_prompt(AugmentationKind.FEEDBACK, record)
@@ -108,6 +113,41 @@ class TestCache:
         (tmp_path / key).write_text(entry.replace('"p"', json.dumps(prompt), 1))
         with pytest.raises(CacheCorrupt):
             generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+
+    def test_large_entry_round_trips(self, tmp_path):
+        # a prompt of over 200 KB, far past any read buffer's default size
+        cache = PromptCache(tmp_path)
+        prompt = "ä long prompt line\n" * 12_000
+        key = PromptCache.key("feedback", prompt, "mock", 0.0)
+        cache.put(key, "feedback", prompt, "response", "mock", 0.0, EPOCH_TIMESTAMP)
+        assert (tmp_path / key).stat().st_size > 200_000
+        assert cache.get(key, prompt) == ("response", EPOCH_TIMESTAMP)
+
+    def test_entry_longer_than_its_fstat_is_read_to_its_end(self, tmp_path, monkeypatch):
+        # as if the file grew between the fstat and the read
+        cache = PromptCache(tmp_path)
+        key = PromptCache.key("feedback", "p", "mock", 0.0)
+        cache.put(key, "feedback", "p", "response", "mock", 0.0, EPOCH_TIMESTAMP)
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=10))
+        assert cache.get(key, "p") == ("response", EPOCH_TIMESTAMP)
+
+    def test_temperature_is_keyed_as_a_float(self, tmp_path):
+        assert PromptCache.key("feedback", "p", "m", 1) == PromptCache.key("feedback", "p", "m", 1.0)
+        # float keys are those of "{kind}\0{model}\0{temperature!r}\0{prompt}", as before
+        material = "feedback\x00mock\x000.0\x00p".encode("utf-8")
+        assert PromptCache.key("feedback", "p", "mock", 0.0) == hashlib.sha256(material).hexdigest()
+        # an entry written under 1.0 is a hit for a provider whose config file says 1
+        path = tmp_path / "provider.json"
+        path.write_text('{"base_url": "http://127.0.0.1:9/v1", "model_name": "m", "temperature": 1}')
+        provider = HttpProvider(ProviderConfig.from_json(path))
+        assert provider.temperature == 1 and isinstance(provider.temperature, int)
+        record = make_record()
+        prompt = render_prompt(AugmentationKind.FEEDBACK, record)
+        cache = PromptCache(tmp_path / "cache")
+        key = PromptCache.key("feedback", prompt, "m", 1.0)
+        cache.put(key, "feedback", prompt, "cached reply", "m", 1.0, EPOCH_TIMESTAMP)
+        result = generate(record, {AugmentationKind.FEEDBACK}, provider, cache=cache)
+        assert result.feedback == "cached reply" and provider.requests_made == 0
 
     def test_every_hit_is_read_and_checked_again(self, tmp_path):
         cache = PromptCache(tmp_path)
@@ -145,6 +185,12 @@ class TestCache:
         (tmp_path / key).mkdir()
         with pytest.raises(OSError):
             cache.get(key, "p")
+
+    def test_a_read_error_names_the_entry(self, tmp_path):
+        (tmp_path / "k").mkdir()
+        with pytest.raises(OSError) as err:
+            PromptCache(tmp_path).get("k", "p")
+        assert err.value.filename == str(tmp_path / "k")
 
     def test_writers_of_one_key_use_their_own_temp_files(self, tmp_path, monkeypatch):
         # a second cache on the same directory writes the key while the
@@ -187,6 +233,15 @@ class TestGenerate:
         assert provider.requests_made == 0
         for kind in KIND_ORDER:
             assert first.get(kind) == second.get(kind)
+
+    def test_warm_generate_equals_cold_without_requests(self, tmp_path):
+        record = make_record()
+        cache, pool = PromptCache(tmp_path), load_exemplars()
+        cold = generate(record, KIND_ORDER, MockProvider(seed=5), cache=cache, exemplars=pool)
+        provider = MockProvider(seed=5)
+        warm = generate(record, KIND_ORDER, provider, cache=cache, exemplars=pool)
+        assert provider.requests_made == 0
+        assert warm == cold and list(warm.metadata) == [kind.value for kind in KIND_ORDER]
 
     def test_canned_map(self):
         record = make_record()
