@@ -166,7 +166,7 @@ def load_exemplars(path: str | Path | None = None) -> list[FewShotExemplar]:
     if path is None:
         raw = resources.files("argscore.augment").joinpath("exemplars.json").read_text("utf-8")
     else:
-        raw = Path(path).read_text("utf-8")
+        raw = Path(path).read_text("utf-8-sig")
     data = json.loads(raw)
     if not isinstance(data, list):
         raise ValueError("an exemplar file must hold a JSON list")

@@ -64,7 +64,7 @@ class ProviderConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ProviderConfig":
-        return from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")), "provider")
+        return from_json(cls, json.loads(Path(path).read_text(encoding="utf-8-sig")), "provider")
 
 
 class HttpProvider:

@@ -56,7 +56,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        cfg = from_json(cls, json.loads(Path(path).read_text(encoding="utf-8")), "run")
+        cfg = from_json(cls, json.loads(Path(path).read_text(encoding="utf-8-sig")), "run")
         check(ModelConfig, cfg.model, "model")
         if "vocab_size" in cfg.model:  # the vocabulary sets it
             raise ValueError("model setting 'vocab_size' is not settable; use vocab_max_size")
@@ -82,6 +82,12 @@ def _make_provider(spec: Optional[str], seed: int):
     return HttpProvider(ProviderConfig.from_json(spec))
 
 
+def _load_dataset(cfg: RunConfig):
+    if not cfg.dataset:
+        raise ValueError("no dataset given (use --dataset or --config)")
+    return corpus_mod.load_dataset(cfg.dataset)
+
+
 def _ensure_splits(dataset, cfg: RunConfig):
     if dataset.split_assignment:
         return dataset
@@ -90,10 +96,7 @@ def _ensure_splits(dataset, cfg: RunConfig):
 
 def cmd_augment(args) -> int:
     cfg = _load_run_config(args)
-    if not cfg.dataset:
-        print("error: no dataset given (use --dataset or --config)", file=sys.stderr)
-        return 1
-    dataset = corpus_mod.load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     kinds = parse_kinds(args.kinds)
     provider = _make_provider(cfg.provider, cfg.seed)
     cache = PromptCache(cfg.cache_dir) if cfg.cache_dir else None
@@ -132,18 +135,12 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    if not cfg.dataset:
-        print("error: no dataset given (use --dataset or --config)", file=sys.stderr)
-        return 1
-    dataset = corpus_mod.load_dataset(cfg.dataset)
-    dataset = _ensure_splits(dataset, cfg)
+    dataset = _ensure_splits(_load_dataset(cfg), cfg)
     train_recs, dev_recs = train_mod.check_splits(dataset)
     augmentations = {}
     if not args.no_augs:
         if not cfg.augmentations:
-            print("error: no augmentations file (use --augmentations or --no-augs)",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("no augmentations file (use --augmentations or --no-augs)")
         augmentations = read_augmentations(cfg.augmentations, train_recs + dev_recs)
 
     vocab = build_vocab(aug_mod.vocab_texts(dataset, augmentations), max_size=cfg.vocab_max_size)
@@ -186,14 +183,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     params, config, vocab = load_checkpoint(args.checkpoint)
-    if not cfg.dataset:
-        print("error: no dataset given (use --dataset or --config)", file=sys.stderr)
-        return 1
-    dataset = corpus_mod.load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     if args.split == "all":
         dataset.split_assignment = {r.id: "all" for r in dataset.records}
-    elif not dataset.split_assignment:
-        # same seeded assignment train derives for split-less files
+    else:  # same seeded assignment train derives for split-less files
         dataset = _ensure_splits(dataset, cfg)
     active = parse_kinds(args.augs)
     if not cfg.augmentations:
@@ -252,7 +245,7 @@ def cmd_synth(args) -> int:
                   f"augs={evaluation.augs_label(kinds)}, epochs={settings.train.epochs})")
         return 0
 
-    result = synth.run_experiment(seed, out_dir=out_dir, settings=settings)
+    result = synth.run_experiment(seed, settings=settings)
     text = _write_report(out_dir, list(result.rows.values()))
     if args.verbose:
         print(text, end="")

@@ -230,13 +230,14 @@ def load_dataset(path: str | Path) -> Dataset:
     other CSV is single-score (id, topic, argument, wa[, split]). A JSONL
     object is three-score if it has ``cogency``, single-score if it has
     ``wa``, and unlabelled otherwise. Scores are numbers in [1, 5] and ``wa``
-    a number in [0, 1]; a JSON boolean is not a number."""
+    a number in [0, 1]; a JSON boolean is not a number. A UTF-8 byte-order
+    mark, which spreadsheets add to the CSV files they export, is skipped."""
     path = Path(path)
     jsonl = path.suffix == ".jsonl"
     records: list[ArgumentRecord] = []
     splits: dict[str, str] = {}
     seen: set[str] = set()
-    with path.open(newline=None if jsonl else "", encoding="utf-8") as fh, naming_file(path):
+    with path.open(newline=None if jsonl else "", encoding="utf-8-sig") as fh, naming_file(path):
         for line, row in _jsonl_rows(fh) if jsonl else _csv_rows(fh, path):
             rec, split = _record(row, line, seen)
             records.append(rec)

@@ -30,16 +30,14 @@ class EmptySplit(ValueError):
 def rankdata(x: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the mean rank of their block."""
     a = np.asarray(x, dtype=np.float64).ravel()
-    n = a.size
     order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    s = a[order]
+    starts_block = np.ones(a.size, dtype=bool)
+    starts_block[1:] = s[1:] != s[:-1]
+    starts = np.flatnonzero(starts_block)
+    ends = np.append(starts[1:], a.size) - 1
+    ranks = np.empty(a.size, dtype=np.float64)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(starts_block) - 1]
     return ranks
 
 

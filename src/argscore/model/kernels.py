@@ -39,13 +39,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _temporaries(scratch: Optional[np.ndarray], shape: tuple, count: int) -> list[np.ndarray]:
-    """``count`` arrays of ``shape``: contiguous views of ``scratch`` back to
-    back, or new arrays when there is none."""
-    if scratch is None:
-        return [np.empty(shape) for _ in range(count)]
-    size = math.prod(shape)
-    return [scratch[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+def _temporary(scratch: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """An array of ``shape``: a contiguous view of the front of ``scratch``,
+    or a new array when there is none."""
+    return np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape)
 
 
 def masked_softmax(scores: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -93,7 +90,7 @@ def layer_norm_grad(dy: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, rstd: n
     """``dx``, row by row. The parameters' gradients are column sums, which
     the caller takes over the rows of one example at a time."""
     d = dy.shape[-1]
-    (t,) = _temporaries(scratch, dy.shape, 1)
+    t = _temporary(scratch, dy.shape)
     dx = np.multiply(dy, gamma, out=out)  # dxhat until it is scaled
     np.multiply(dx, xhat, out=t)
     m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
@@ -113,7 +110,7 @@ def gelu(x: np.ndarray, *, out: Optional[np.ndarray] = None,
          tanh: Optional[np.ndarray] = None) -> np.ndarray:
     """``0.5 * x * (1 + tanh(C * (x + A * x**3)))``; the ``tanh`` goes to
     ``tanh`` when given, for ``gelu_grad``."""
-    (u,) = _temporaries(scratch, x.shape, 1)
+    u = _temporary(scratch, x.shape)
     t = u if tanh is None else tanh
     np.multiply(x, x, out=t)
     t *= x
@@ -132,7 +129,7 @@ def gelu_grad(dy: np.ndarray, x: np.ndarray, tanh: np.ndarray, *,
               scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """``dy * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner)``, where ``t``
     is ``tanh``, the forward pass's, and ``dinner = C * (1 + 3 * A * x**2)``."""
-    (slope,) = _temporaries(scratch, x.shape, 1)
+    slope = _temporary(scratch, x.shape)
     np.multiply(x, 0.5, out=slope)
     g = np.multiply(tanh, tanh, out=out)
     np.subtract(1.0, g, out=g)

@@ -306,10 +306,10 @@ def _dropped(dx: np.ndarray, masks: Optional[np.ndarray], i: int, ws: Workspace)
 
 def _layer_norm(p, ln, x, ws, y_slot):
     """``kernels.layer_norm`` of ``x`` by the ``ln`` parameters, into its
-    slots, its output into ``y_slot``."""
+    slots; returns its output, which goes into ``y_slot``."""
     n = x.shape[0]
     return kernels.layer_norm(x, p[f"{ln}.gamma"], p[f"{ln}.beta"], LN_EPS, out=(
-        ws.rows(y_slot, n), ws.rows(f"{ln}.xhat", n), ws.rows(f"{ln}.rstd", n)))
+        ws.rows(y_slot, n), ws.rows(f"{ln}.xhat", n), ws.rows(f"{ln}.rstd", n)))[0]
 
 
 def _layer_norm_output(p, ln, n, ws):
@@ -440,12 +440,12 @@ def _encoder_forward(p, enc, ids, rows, config, masks, ws, keep):
     pairs = [(r, r) for r in rows]
     for layer in range(config.num_layers):
         base = f"{enc}.layer{layer}"
-        y1, _, _ = _layer_norm(p, f"{base}.ln1", x, ws, "y")
+        y1 = _layer_norm(p, f"{base}.ln1", x, ws, "y")
         attn_out = _attention(p, f"{base}.attn", y1, y1, pairs, config.num_heads, ws, keep)
         if masks is not None:
             attn_out *= masks[1 + 2 * layer][:n]
         x += attn_out
-        y2, _, _ = _layer_norm(p, f"{base}.ln2", x, ws, "y")
+        y2 = _layer_norm(p, f"{base}.ln2", x, ws, "y")
         h1 = np.matmul(y2, p[f"{base}.ffn.w1"], out=ws.rows(f"{base}.h1", n))
         h1 += p[f"{base}.ffn.b1"]
         a = kernels.gelu(h1, out=ws.rows("a", n), scratch=ws.scratch,
@@ -455,7 +455,7 @@ def _encoder_forward(p, enc, ids, rows, config, masks, ws, keep):
         if masks is not None:
             ffn_out *= masks[2 + 2 * layer][:n]
         x += ffn_out
-    out, _, _ = _layer_norm(p, f"{enc}.final_ln", x, ws, f"{enc}.final_ln.y")
+    out = _layer_norm(p, f"{enc}.final_ln", x, ws, f"{enc}.final_ln.y")
     return out
 
 

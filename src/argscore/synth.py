@@ -8,6 +8,8 @@ counter-argument. Topics and arguments are pure filler, so a model that
 ignores the context cannot beat chance, while a model that reads it can
 recover the labels almost exactly. The argument nearly fills the first
 sequence, so in single mode almost the whole context is truncated away.
+The texts pass through the regular generation pipeline from a canned
+provider, so prompt rendering is exercised.
 
 The trainings compared on the held-out test split are the entries of
 ``RUNS``: dual mode with all context kinds, dual mode with none, and single
@@ -19,7 +21,6 @@ results unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,6 @@ from argscore.augment import (
     CannedProvider,
     KIND_ORDER,
     NO_ASSUMPTIONS,
-    PromptCache,
     generate,
     load_exemplars,
     vocab_texts,
@@ -90,7 +90,6 @@ class SynthSettings:
 
 @dataclass
 class SynthResult:
-    seed: int
     rows: dict[str, EvalRow]  # test rows by run label, in RUNS order
     checks: dict[str, bool] = field(default_factory=dict)
 
@@ -149,34 +148,26 @@ def planted_text(kind: AugmentationKind, record: ArgumentRecord, rng: np.random.
     return " ".join(_words(rng, 3) + [sig] * 3 + _words(rng, 4))
 
 
-def build_augmentations(
-    dataset: Dataset, seed: int, cache_dir: Optional[Path] = None
-) -> dict[str, AugmentationSet]:
+def build_augmentations(dataset: Dataset, seed: int) -> dict[str, AugmentationSet]:
     """Plant each record's four texts, then run the regular generation
-    pipeline against a canned provider that serves them, so caching and prompt
-    rendering are exercised for real. No prompt is rendered outside
-    ``generate``, which renders each once."""
+    pipeline against a canned provider that serves them, so prompt rendering
+    is exercised for real. No prompt is rendered outside ``generate``, which
+    renders each once."""
     exemplars = load_exemplars()
-    cache = PromptCache(cache_dir) if cache_dir is not None else None
     sets = {}
     for i, rec in enumerate(dataset.records):
         rec_rng = np.random.default_rng(derive_seed(seed, 10, i))
         provider = CannedProvider({kind: planted_text(kind, rec, rec_rng) for kind in KIND_ORDER})
-        sets[rec.id] = generate(rec, KIND_ORDER, provider, cache=cache, exemplars=exemplars)
+        sets[rec.id] = generate(rec, KIND_ORDER, provider, exemplars=exemplars)
     return sets
 
 
-def run_experiment(
-    seed: int,
-    out_dir: Optional[Path] = None,
-    settings: Optional[SynthSettings] = None,
-) -> SynthResult:
+def run_experiment(seed: int, settings: Optional[SynthSettings] = None) -> SynthResult:
     s = settings or SynthSettings()
     if s.n_test < 2:  # checked before any training, which could not be scored
         raise ValueError(f"the test split needs at least two records to correlate, got {s.n_test}")
     dataset = make_records(seed, s.n_train, s.n_dev, s.n_test)
-    cache_dir = out_dir / "cache" if out_dir is not None else None
-    augmentations = build_augmentations(dataset, seed, cache_dir)
+    augmentations = build_augmentations(dataset, seed)
 
     vocab = build_vocab(vocab_texts(dataset, augmentations), max_size=2000)
 
@@ -195,4 +186,4 @@ def run_experiment(
         f"dual+augs - single+augs >= {DUAL_MINUS_SINGLE_MIN}":
             mean["dual_all"] - mean["single_all"] >= DUAL_MINUS_SINGLE_MIN,
     }
-    return SynthResult(seed=seed, rows=rows, checks=checks)
+    return SynthResult(rows=rows, checks=checks)

@@ -10,7 +10,7 @@ import pytest
 
 import argscore
 from argscore import cli, train
-from argscore.augment import ProviderError, ProviderTimeout
+from argscore.augment import ProviderConfig, ProviderError, ProviderTimeout, load_exemplars
 from argscore.corpus import ArgumentRecord, Dataset, write_dataset
 from argscore.model import ShapeMismatch, init_parameters, save_checkpoint
 from tests.conftest import small_config
@@ -146,6 +146,36 @@ def test_directory_as_input_file_exits_one(tmp_path, tiny_dataset, capsys, comma
         argv += [option, value]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["augment", "train", "evaluate"])
+def test_no_dataset_exits_one_with_one_error_line(tmp_path, capsys, command):
+    argv = _checkpoint_args(tmp_path, {}) if command == "evaluate" else [command]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: no dataset given (use --dataset or --config)\n"
+
+
+def test_train_without_augmentations_exits_one_with_one_error_line(tmp_path, tiny_dataset,
+                                                                   capsys):
+    data = tmp_path / "tiny.jsonl"
+    write_dataset(tiny_dataset, data)
+    assert cli.main(["train", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no augmentations file (use --augmentations or --no-augs)\n")
+
+
+def test_hand_written_json_files_may_start_with_a_byte_order_mark(tmp_path):
+    def marked(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj), encoding="utf-8-sig")
+        return path
+
+    assert cli.RunConfig.from_file(marked("run.json", {"seed": 3})).seed == 3
+    provider = ProviderConfig.from_json(marked("provider.json", {"base_url": "http://h/v1"}))
+    assert provider.base_url == "http://h/v1"
+    pool = json.loads(resources.files("argscore.augment").joinpath("exemplars.json")
+                      .read_text("utf-8"))
+    assert load_exemplars(marked("exemplars.json", pool)) == load_exemplars()
 
 
 def _error_line(capsys) -> str:

@@ -26,6 +26,23 @@ def write(tmp_path, name, text):
 GAQ_HEADER = "id,domain,topic,argument,cogency,effectiveness,reasonableness\n"
 
 
+@pytest.mark.parametrize("name, text", [
+    pytest.param("d.csv", GAQ_HEADER + 'a1,debates,"T","A",3.0,2.5,4.0\na2,forums,T2,A2,1,2,5\n',
+                 id="csv"),
+    pytest.param("d.jsonl", '{"id": "a1", "topic": "T", "argument": "A", "split": "dev", '
+                 '"cogency": 3, "effectiveness": 2.5, "reasonableness": 4}\n'
+                 '{"id": "a2", "topic": "T2", "argument": "A2", "wa": 0.5}\n', id="jsonl"),
+])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, text):
+    # spreadsheets add one when they export a CSV as UTF-8
+    plain = load_dataset(write(tmp_path, name, text))
+    (tmp_path / "marked").mkdir()
+    path = tmp_path / "marked" / name
+    path.write_text(text, encoding="utf-8-sig")
+    marked = load_dataset(path)
+    assert (marked.records, marked.split_assignment) == (plain.records, plain.split_assignment)
+
+
 class TestGaqCsv:
     def test_basic_row_and_wa(self, tmp_path):
         path = write(tmp_path, "d.csv", GAQ_HEADER + 'a1,debates,"T","A",3.0,2.5,4.0\n')

@@ -99,6 +99,35 @@ def test_oracle_equivalence_random_vectors():
                 assert ours == pytest.approx(ref, abs=1e-12)
 
 
+def loop_rankdata(x):
+    """The per-block loop ``rankdata`` once was, kept as its bitwise reference."""
+    a = np.asarray(x, dtype=np.float64).ravel()
+    n = a.size
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_rankdata_equals_the_loop_bitwise():
+    rng = np.random.default_rng(5)
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, 2.0])
+    vectors = [[], [3.0], [np.nan], [-0.0, 0.0, np.nan, 0.0, np.nan], [2.0, 2.0]]
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        ties = rng.integers(-3, 4, n) * 0.5  # few distinct values: long blocks of ties
+        vectors.append(np.where(rng.random(n) < 0.2, rng.choice(specials, n),
+                                ties if rng.random() < 0.5 else rng.normal(size=n)))
+    for v in vectors:
+        assert rankdata(v).tobytes() == loop_rankdata(v).tobytes(), v
+
+
 def test_rankdata_average_ties():
     assert rankdata([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert rankdata([5, 5, 5]).tolist() == [2.0, 2.0, 2.0]

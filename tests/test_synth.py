@@ -12,6 +12,7 @@ import pytest
 
 from argscore import augment, cli, synth
 from argscore.augment import KIND_ORDER, prompts, vocab_texts
+from argscore.corpus import QualityScores
 from argscore.model.vocab import build_vocab
 from argscore.train import TrainConfig
 
@@ -81,9 +82,27 @@ def test_a_word_only_in_test_arguments_leaves_the_vocabulary_unchanged():
     assert vocabulary(marked) == vocabulary(dataset)  # today 55 tokens against 56
 
 
-# Augments a tiny synth corpus through a prompt cache (canned, then the mock
-# provider cold and warm), trains and scores it; prints whether numpy.ma was
-# loaded after importing numpy, then after the work.
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 9: the vocabulary is built from "
+                   "every split's texts, test included, until it is built from train and dev")
+def test_other_test_labels_leave_the_vocabulary_unchanged():
+    # each test record's three levels shift cyclically, so every score changes; a
+    # permutation of labels would keep every marker count and hide the leak
+    dataset = synth.make_records(11, 40, 10, 20)
+    relabelled = replace(dataset, records=[
+        replace(rec, labels=QualityScores(*(v % 5 + 1 for v in (
+            rec.labels.cogency, rec.labels.effectiveness, rec.labels.reasonableness))))
+        if dataset.split_assignment[rec.id] == "test" else rec for rec in dataset.records])
+
+    def vocabulary(ds):
+        return build_vocab(vocab_texts(ds, synth.build_augmentations(ds, 11)), max_size=2000)
+
+    assert vocabulary(relabelled) == vocabulary(dataset)  # today 55 tokens each, ids reordered
+
+
+# Runs a tiny synth experiment (canned texts, training and scoring), then
+# augments its corpus through a prompt cache with the mock provider, cold and
+# warm; prints whether numpy.ma was loaded after importing numpy, then after
+# the work.
 _NUMPY_MA_SCRIPT = """
 import sys
 from pathlib import Path
@@ -97,7 +116,7 @@ settings = synth.SynthSettings(
     model=dict(max_seq_len=24, model_dim=16, num_layers=1, num_heads=2, ffn_dim=32,
                num_cross_heads=2, dropout_rate=0.1),
     train=TrainConfig(gamma=0.5, batch_size=4, learning_rate=3e-3, epochs=1))
-synth.run_experiment(11, out_dir=out, settings=settings)
+synth.run_experiment(11, settings=settings)
 dataset, pool = synth.make_records(11, 4, 2, 2), augment.load_exemplars()
 cache = augment.PromptCache(out / "mock-cache")
 for _ in range(2):
